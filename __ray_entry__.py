@@ -29,7 +29,7 @@ SF0001 = "/root/testdata/sf0.001"
 
 def entry() -> Any:
     """Flagship pipeline on sf0.001: events → transcript schema → derive →
-    salted windowed rollup → 1m/1h/1d cascade with gap-fill → Gorilla chunks
+    one hash shuffle → windowed rollup → 1m/1h/1d cascade with gap-fill → Gorilla chunks
     → partitioned parquet; returns the 1m tier."""
     import shutil
 

@@ -6,8 +6,8 @@ Prints ONE JSON line:
    "turns": T, "throughput_turns_per_s": ...}
 
 Headline = the flagship pipeline: deterministic synthetic transcript table
-(FIXTURES.md §1; cached under /tmp, generation untimed) → derive → salted
-windowed rollup (full feature set) → 1m → 1h → 1d cascade with gap-fill →
+(FIXTURES.md §1; cached under /tmp, generation untimed) → derive → one hash
+shuffle → windowed rollup (full feature set) → 1m → 1h → 1d cascade with gap-fill →
 Gorilla chunk encode → partitioned checkpointed Parquet.
 
 `--scaling`: runs the same headline in two fresh processes at

@@ -72,9 +72,9 @@ def _windowed(sf_dir: str, spec: FeatureSpec, width_us: int = HOUR_US):
     """groupby(user).map_groups over prepped events with the fused kernel.
 
     At sf scale one group per user is fine (≤ thousands of rows); the
-    transcript pipeline uses the salted (conv, bucket) variant. Results are
-    memoized per (file identity, spec, width) — several queries project
-    different columns of the same windowed feature table, and the FILE key
+    transcript pipeline runs the same kernel on whole hash partitions.
+    Results are memoized per (file identity, spec, width) — several queries
+    project different columns of the same windowed feature table, and the FILE key
     (path, mtime, size — not path alone) means a regenerated events.parquet
     at the same path invalidates naturally; un-stat-able → uncacheable.
 
@@ -630,7 +630,7 @@ FROM events GROUP BY 1
 def q_gorilla_roundtrip(sf_dir: str):
     """Encode each user's hourly means with Gorilla, decode, return points —
     encode AND decode run inside the distributed groupby workers (the same
-    codec the writer actor pool uses); the oracle is the plain hourly means
+    codec the pipeline's writer uses); the oracle is the plain hourly means
     (codec is bit-exact)."""
     from chronoxtract_ray.state import gorilla
 

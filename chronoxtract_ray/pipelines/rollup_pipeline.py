@@ -1,33 +1,29 @@
 """End-to-end rollup pipeline: transcripts → 1m → 1h → 1d (+ Gorilla chunks).
 
-Partition-aligned dataflow — ONE Ray execution, ONE all-to-all shuffle
-(default ``fused_cascade=True``):
+Partition-aligned dataflow — ONE Ray execution, ONE all-to-all shuffle:
 
     read_parquet(transcripts)
-      → map_batches(derive: value/bucket/crc/part; resume filter) [stateless]
-      → repartition(P, keys=["part"])                             [the ONE shuffle]
-      → RollupWriteStage actor pool: fused window kernel → 1m rows, then the
-        1h/1d cascades run in-memory on those rows (a partition never
-        round-trips through storage between tiers); tier rows + Gorilla
-        chunks + per-partition manifests written atomically per tier
-
-With ``fused_cascade=False`` the cascade runs as a second execution
-(CascadeWriteStage reads each partition's WHOLE tier directory — every
-segment file — inside the actor, so a reader can never split a partition
-across blocks) — useful for rebuilding coarse tiers without touching raw
-input, including on segmented stores evolved by incremental ingest.
+      → map_batches(derive: value/crc/part; resume filter)  [task]
+      → repartition(P, keys=["part"])                       [the ONE shuffle]
+      → map_batches(RollupWriteStage instance)              [task]: fused window
+        kernel → 1m rows, then the 1h/1d cascades run in-memory on those rows
+        (a partition never round-trips through storage between tiers); tier
+        rows + Gorilla chunks + per-partition manifests written atomically
+        per tier
 
 Why this shape: every group-forming step rides ONE hash partitioning that is
 then reused by every later stage (SURVEY.md §7.3 'pick ONE partitioning key
-and reuse it'). Writers are callable classes → Ray actor pools; each actor
-carries its Gorilla encoder state (north rule). Extreme per-conversation
-skew (a single conversation larger than a partition) is handled by raising
-``num_parts``; the salted (conv, bucket) rollup stage remains available as
-``chronoxtract_ray.stages.rollup.rollup`` for pathological keys.
+and reuse it'). The writer keeps no state across blocks (one block per
+partition, plain-config constructor), so it runs as a Ray Data task: an
+instance passed to ``map_batches`` is a task UDF, a class would start an
+actor pool whose fixed CPU reservation starves upstream tasks in a small
+session. The engine does not salt: a hot conversation lands whole in its
+partition, and a conversation larger than a partition block needs a larger
+``num_parts``.
 
-Resumability: a partition with a complete manifest is skipped at derive time
-(stage 1) and at cascade time (stage 2); killed runs redo only unfinished
-partitions (tests/test_resume.py).
+Resumability: a partition with complete manifests for all three tiers is
+skipped at derive time; killed runs redo only unfinished partitions
+(tests/test_resume.py).
 
 Never calls ray.init/shutdown (driver contract).
 """
@@ -36,6 +32,7 @@ from __future__ import annotations
 
 import os
 import time
+import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +56,6 @@ class PipelineConfig:
     cascade_spec: FeatureSpec = field(default_factory=FeatureSpec)
     with_gorilla: bool = True
     gorilla_points_per_chunk: int = 1024
-    writer_concurrency: tuple[int, int] | None = None  # default: sized to session
-    fused_cascade: bool = True  # cascade in the rollup actors (1 execution); False = separate stage
     resume: bool = True
 
 
@@ -77,36 +72,30 @@ def _gorilla_cfg(cfg: PipelineConfig, tier: str) -> dict | None:
 
 
 class RollupWriteStage:
-    """Actor-pool UDF (stage 1): one partition-aligned block of derived rows
-    → 1m tier rows + (fused) 1h/1d cascade rows + Gorilla chunks + manifests
-    on disk, all from the in-memory block — the partition never round-trips
-    through storage between tiers. Returns stats rows.
-
-    The actor carries the Gorilla encoder state (PartitionWriter) across all
-    partitions it processes."""
+    """Task UDF: one partition-aligned block of derived rows → 1m tier rows
+    + 1h/1d cascade rows + Gorilla chunks + manifests on disk, all from the
+    in-memory block — the partition never round-trips through storage
+    between tiers. Returns stats rows."""
 
     def __init__(self, out_root: str, cfg: PipelineConfig, done: frozenset[int], run_id: str | None = None):
         self.cfg = cfg
-        gor = {"1m": _gorilla_cfg(cfg, "1m")}
-        if cfg.fused_cascade:
-            gor.update({"1h": _gorilla_cfg(cfg, "1h"), "1d": _gorilla_cfg(cfg, "1d")})
         self.fn = make_block_rollup(cfg.rollup)
-        self.writer = ckpt.PartitionWriter(out_root, cfg.num_parts, gor, run_id=run_id)
+        self.writer = ckpt.PartitionWriter(
+            out_root, cfg.num_parts, {t: _gorilla_cfg(cfg, t) for t, _ in TIERS}, run_id=run_id
+        )
         self.done = np.fromiter(done, dtype=np.int64) if done else None
 
     def __call__(self, block: pa.Table) -> pa.Table:
         if block.num_rows == 0:
             return pa.table({"tier": pa.array([], pa.string()), "part": pa.array([], pa.int64()), "rows": pa.array([], pa.int64())})
-        tier_rows = self.fn(block.drop_columns(["part"]))
-        outs = [("1m", tier_rows)]
-        if self.cfg.fused_cascade:
-            cur = tier_rows
-            # fine width of the first cascade step = the 1m tier's actual
-            # window width (configurable; MINUTE_US by default) — the gap-fill
-            # stride must match the grid the rollup floored on
-            for tier_name, wf, wc in (("1h", self.cfg.rollup.width_us, HOUR_US), ("1d", HOUR_US, DAY_US)):
-                cur = cascade_block(cur, wf, wc, self.cfg.cascade_spec)
-                outs.append((tier_name, cur))
+        cur = self.fn(block.drop_columns(["part"]))
+        outs = [("1m", cur)]
+        # fine width of the first cascade step = the 1m tier's actual window
+        # width (configurable; MINUTE_US by default) — the gap-fill stride
+        # must match the grid the rollup floored on
+        for tier_name, wf, wc in (("1h", self.cfg.rollup.width_us, HOUR_US), ("1d", HOUR_US, DAY_US)):
+            cur = cascade_block(cur, wf, wc, self.cfg.cascade_spec)
+            outs.append((tier_name, cur))
         # one writer pass per tier so each tier keeps its exact schema
         tiers_out, parts_out, rows_out = [], [], []
         for tier_name, rows in outs:
@@ -122,63 +111,6 @@ class RollupWriteStage:
             parts_out.extend(res["part"].to_pylist())
             rows_out.extend(res["rows"].to_pylist())
         return pa.table({"tier": pa.array(tiers_out, pa.string()), "part": pa.array(parts_out, pa.int64()), "rows": pa.array(rows_out, pa.int64())})
-
-
-class CascadeWriteStage:
-    """Actor-pool UDF (stage 2): reads ONE 1m-tier partition DIRECTORY per
-    call — every segment file it holds — so a partition can never be split
-    across blocks by a reader, cascades it to 1h + 1d rows, writes tier
-    rows + chunks + manifests."""
-
-    def __init__(self, out_root: str, cfg: PipelineConfig):
-        self.cfg = cfg
-        self.writer = ckpt.PartitionWriter(
-            out_root,
-            cfg.num_parts,
-            {"1h": _gorilla_cfg(cfg, "1h"), "1d": _gorilla_cfg(cfg, "1d")},
-        )
-
-    CASCADE_COLUMNS = (
-        "conv_id", "window_start", "n_turns", "mean", "sum", "energy",
-        "sum3", "sum4", "min", "max", "text_checksum",
-    )
-
-    def __call__(self, paths: pa.Table) -> pa.Table:
-        import glob
-
-        import pyarrow.parquet as pq
-
-        out_parts, out_rows = [], []
-        for part_dir in paths["path"].to_pylist():
-            # read EVERY segment file of the partition in one call: an
-            # ingest-evolved store holds several seg-*.parquet per partition,
-            # and cascading each file separately would gap-fill each segment
-            # against itself instead of the conversation's full series
-            files = sorted(glob.glob(os.path.join(part_dir, "*.parquet")))
-            if not files:
-                continue
-            # prune at the read: the cascade needs ~10 of the ~45 tier columns
-            avail = set(pq.read_schema(files[0]).names)
-            cols = [c for c in self.CASCADE_COLUMNS if c in avail]
-            block = pa.concat_tables(
-                [pq.read_table(f, columns=cols) for f in files], promote_options="default"
-            )
-            if block.num_rows == 0:
-                continue
-            spec = self.cfg.cascade_spec
-            outs = []
-            cur = block
-            for tier_name, wf, wc in (("1h", self.cfg.rollup.width_us, HOUR_US), ("1d", HOUR_US, DAY_US)):
-                cur = cascade_block(cur, wf, wc, spec)
-                tagged = cur.append_column("tier_name", pa.array([tier_name] * cur.num_rows, pa.string()))
-                outs.append(tagged)
-            rows = pa.concat_tables(outs, promote_options="default")
-            part = ckpt.conv_partition(rows["conv_id"].to_numpy(zero_copy_only=False), self.cfg.num_parts)
-            rows = rows.append_column("part", pa.array(part, pa.int64()))
-            res = self.writer(rows)
-            out_parts.extend(res["part"].to_pylist())
-            out_rows.extend(res["rows"].to_pylist())
-        return pa.table({"part": pa.array(out_parts, pa.int64()), "rows": pa.array(out_rows, pa.int64())})
 
 
 def tier_dataset(root: str, tier: str, columns: list[str] | None = None):
@@ -217,62 +149,6 @@ def tier_table(root: str, tier: str, columns: list[str] | None = None) -> pa.Tab
     return tbl.sort_by([(k, "ascending") for k in keys])
 
 
-def _release_cpus(timeout_s: float = 10.0) -> None:
-    """GC dead Dataset executors and wait until their actors give the CPUs
-    back, so the next execution's actor pool can fill the session."""
-    import gc
-
-    import ray
-
-    gc.collect()
-    try:
-        total = ray.cluster_resources().get("CPU", 0)
-    except Exception:
-        return
-    deadline = time.time() + timeout_s
-    while time.time() < deadline:
-        if ray.available_resources().get("CPU", 0) >= total * 0.9:
-            return
-        time.sleep(0.2)
-
-
-def _writer_pool(cfg: PipelineConfig, whole_session: bool = False) -> tuple[tuple[int, int], float]:
-    """((min, max), num_cpus_per_actor) for the writer pool.
-
-    Fixed-size pool (min == max): all actors spawn in parallel at execution
-    start instead of ramping one by one behind the queue.
-
-    ``whole_session``: stage 2 has no other operators competing for CPUs
-    (the read happens inside the actors), so its pool takes every CPU.
-    Stage 1 shares the session with derive tasks + shuffle aggregators: one
-    actor per CPU, but the pool's total LOGICAL reservation is capped at
-    ~40% of the session so upstream operators can always schedule (a pool
-    reserving everything deadlocks the streaming executor); physically all
-    cores engage once the upstream drains."""
-    import ray
-
-    n_cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    if cfg.writer_concurrency:
-        wc = cfg.writer_concurrency
-        if not (isinstance(wc, (tuple, list)) and len(wc) == 2
-                and 1 <= wc[1] and 0 <= wc[0] <= wc[1]):
-            raise ValueError(
-                f"writer_concurrency must be (min, max) with 0 <= min <= max and max >= 1, got {wc!r}"
-            )
-        # an explicit pool size still gets its logical num_cpus budgeted:
-        # num_cpus=1.0 per actor at pool == session size would reserve every
-        # CPU and deadlock stage 1's upstream (the exact failure the default
-        # path guards against)
-        budget = float(n_cpus) if whole_session else max(1.0, 0.4 * n_cpus)
-        return cfg.writer_concurrency, max(0.1, round(min(1.0, budget / cfg.writer_concurrency[1]), 2))
-    if whole_session:
-        k = max(2, min(cfg.num_parts, n_cpus))
-        return (k, k), 1.0
-    k = max(2, min(cfg.num_parts, n_cpus))
-    budget = max(1.0, 0.4 * n_cpus)
-    return (k, k), max(0.1, round(budget / k, 2))
-
-
 def backfill_partitions(out_root: str, parts: list[int], num_parts: int) -> None:
     """Reopen completed partitions for explicit backfill/late-data reruns:
     drops their manifests (and artifacts) for every tier so the next
@@ -282,9 +158,8 @@ def backfill_partitions(out_root: str, parts: list[int], num_parts: int) -> None
     import shutil
 
     # validate the WHOLE list before touching anything: raising mid-loop
-    # after earlier parts' manifests/data were deleted leaves the store
-    # inconsistent (a later non-fused run would rebuild 1m for those parts
-    # but skip the cascade, leaving 1h/1d silently stale against it)
+    # would leave some partitions reopened and the rest not, so a bad entry
+    # must fail before any manifest or tier directory is deleted
     for p in parts:
         if not 0 <= p < num_parts:
             raise ValueError(f"partition {p} out of range 0..{num_parts - 1}")
@@ -315,14 +190,12 @@ def run_rollup_pipeline(source, out_root: str, cfg: PipelineConfig | None = None
     """``source``: a transcripts Dataset or a parquet path. Returns metrics.
 
     Sizing for clusters: each hash partition is processed as ONE in-memory
-    block by one writer actor (derived rows ≈ 40 B/turn + tier rows +
+    block by one writer task (derived rows ≈ 40 B/turn + tier rows +
     gap-filled intermediates ≈ 3-4x that). Choose ``num_parts`` so
     raw_bytes x 0.4 / num_parts stays well under a worker's heap — e.g.
     ~40k partitions for a 100 TB input with 1-2 GB partition budgets. All
     other scaling follows from Ray scheduling more partitions across more
     nodes; there is exactly one all-to-all exchange regardless of size."""
-    import ray.data as rd
-
     from chronoxtract_ray.stages.util import ensure_hash_shuffle
 
     cfg = cfg or PipelineConfig()
@@ -353,40 +226,29 @@ def run_rollup_pipeline(source, out_root: str, cfg: PipelineConfig | None = None
 
     metrics: dict = {"tiers": {}, "num_parts": P}
     t_start = time.time()
-    wconc, w_cpus = _writer_pool(cfg)
+    # a partition is done only when all three tiers are: the writer rebuilds
+    # every tier of the partitions it is given from the raw input
+    done = frozenset()
+    if cfg.resume:
+        done = frozenset.intersection(*(ckpt.completed_parts(out_root, t, P) for t, _ in TIERS))
+    metrics["resumed_parts_skipped"] = sorted(done)
 
-    done_1m = ckpt.completed_parts(out_root, "1m", P) if cfg.resume else frozenset()
-    done_1h = ckpt.completed_parts(out_root, "1h", P) if cfg.resume else frozenset()
-    done_1d = ckpt.completed_parts(out_root, "1d", P) if cfg.resume else frozenset()
-    done_casc = done_1h & done_1d  # a cascade partition is done when both tiers are
-    done_everywhere = done_1m & done_casc
-    metrics["resumed_parts_skipped"] = sorted(done_everywhere)
-
-    # ---- stage 1: raw → 1m (→ 1h → 1d when fused) ----
-    # derive → ONE shuffle → rollup(+cascade)+write actors
-    t0 = time.time()
-    stage1_done = (done_1m & done_casc) if cfg.fused_cascade else done_1m
+    # derive → ONE shuffle → rollup + cascade + write tasks
     derived = ds.map_batches(
         make_derive(
             cfg.rollup.bucket_us,
             with_crc=cfg.rollup.with_checksum,
-            drop_parts=stage1_done or None,
+            drop_parts=done or None,
             num_parts=P,
         ),
         batch_format="pyarrow",
     )
     keyed = derived.repartition(P, keys=["part"], sort=False)
-    import uuid
-
-    run_id = uuid.uuid4().hex
     results = keyed.map_batches(
-        RollupWriteStage,
-        fn_constructor_args=(out_root, cfg, stage1_done, run_id),
+        RollupWriteStage(out_root, cfg, done, uuid.uuid4().hex),
         batch_size=None,
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=wconc,
-        num_cpus=w_cpus,
     ).take_all()
     # structural split-partition guard: each (tier, part) must be written by
     # exactly ONE writer call this run. If the hash shuffle ever splits a
@@ -404,48 +266,10 @@ def run_rollup_pipeline(source, out_root: str, cfg: PipelineConfig | None = None
             f"one run: the hash shuffle split a partition across blocks — "
             f"raise num_parts so each partition fits one block"
         )
-    stage1 = {
-        # ALL rows this stage wrote (fused mode includes 1h/1d) — the label
-        # claims all three tiers, so the count must too
-        "rows_written": int(sum(r["rows"] for r in results)),
-        "wall_s": time.time() - t0,
-    }
-    if cfg.fused_cascade:
-        for tier in ("1m", "1h", "1d"):
-            stage1[f"rows_{tier}"] = int(sum(r["rows"] for r in results if r["tier"] == tier))
-    metrics["tiers"]["1m" if not cfg.fused_cascade else "1m+1h+1d"] = stage1
-    if cfg.fused_cascade:
-        metrics["total_wall_s"] = time.time() - t_start
-        return metrics
-    # release stage-1 operator state (shuffle aggregators + writer actors
-    # hold their logical CPUs while their Dataset objects stay referenced)
-    del derived, keyed, results
-    _release_cpus()
-
-    # ---- stage 2: 1m → 1h → 1d (partition-aligned read, NO shuffle) ----
-    t0 = time.time()
-    redo = sorted(set(range(P)) - done_casc)
-    # one item per PARTITION DIRECTORY (not per file): segmented stores hold
-    # several parquet files per partition and the cascade must see them all
-    # together (CascadeWriteStage reads the whole dir per call)
-    files = [
-        os.path.join(out_root, "tier=1m", f"part={p:04d}")
-        for p in redo
-        if os.path.isdir(os.path.join(out_root, "tier=1m", f"part={p:04d}"))
-    ]
-    if files:
-        paths_ds = rd.from_items([{"path": f} for f in files], override_num_blocks=len(files))
-        results = paths_ds.map_batches(
-            CascadeWriteStage,
-            fn_constructor_args=(out_root, cfg),
-            batch_size=1,
-            batch_format="pyarrow",
-            concurrency=_writer_pool(cfg, whole_session=True)[0],
-        ).take_all()
-        rows = int(sum(r["rows"] for r in results))
-    else:
-        rows = 0
-    metrics["tiers"]["1h+1d"] = {"rows_written": rows, "wall_s": time.time() - t0}
-
-    metrics["total_wall_s"] = time.time() - t_start
+    wall = time.time() - t_start
+    stats = {"rows_written": int(sum(r["rows"] for r in results)), "wall_s": wall}
+    for tier, _ in TIERS:
+        stats[f"rows_{tier}"] = int(sum(r["rows"] for r in results if r["tier"] == tier))
+    metrics["tiers"]["1m+1h+1d"] = stats
+    metrics["total_wall_s"] = wall
     return metrics

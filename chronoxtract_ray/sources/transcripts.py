@@ -51,7 +51,7 @@ _MIX = 2654435761  # Knuth multiplicative hash constant (public domain)
 
 def conv_turn_count(i: int, base_turns: int = 40, hot_every: int = 200, hot_factor: int = 100) -> int:
     """Zipf-ish skew: every ``hot_every``-th conversation is ``hot_factor``x
-    longer (exercises salting); others vary 50%-150% of base."""
+    longer (exercises skew); others vary 50%-150% of base."""
     if hot_every and i % hot_every == 0:
         return base_turns * hot_factor
     return base_turns // 2 + (i * _MIX) % base_turns

@@ -15,17 +15,13 @@ Semantics (SURVEY.md §4.3, FIXTURES.md §3):
     power sums (s1..s4, min, max, n) — identical to a direct rollup of the
     raw turns over the coarse window, asserted in tests.
 
-Ray Data shape (same pattern as the rollup stage; the default pipeline runs
-``cascade_block`` fused inside the rollup actors instead — see
-pipelines/rollup_pipeline.py):
-
-    tier.repartition(B, keys=["conv_id"])     # co-locate; block sorts itself
-        .map_batches(cascade_block, batch_size=None, batch_format="pyarrow")
-
-The block function gap-fills and re-aggregates EVERY conversation in the
-block vectorized — no per-conversation Python dispatch. Only the ``mean``
-series is materialized on the dense slot grid (the point-series features
-consume every interpolated point by definition); the exact merged
+The pipeline runs ``cascade_block`` inside its writer stages, on the 1m
+rows of one partition-aligned block (pipelines/rollup_pipeline.py); the
+block sorts itself. The block function gap-fills and re-aggregates EVERY
+conversation in the block vectorized — no per-conversation Python
+dispatch. Only the ``mean`` series is materialized on the dense slot grid
+(the point-series features consume every interpolated point by
+definition); the exact merged
 aggregates accumulate straight from the PRESENT rows via ``ufunc.at``
 (gap slots contribute the float identity — 0 to sums, ±inf to min/max —
 so densifying them was pure memory traffic). Gap density is
@@ -45,7 +41,7 @@ import pyarrow as pa
 
 from chronoxtract_ray.kernels.windowed import FeatureSpec, compute_windowed_features
 
-__all__ = ["gap_fill_group", "cascade_block", "cascade", "gap_fill"]
+__all__ = ["gap_fill_group", "cascade_block"]
 
 
 def gap_fill_group(tbl: pa.Table, width_us: int) -> pa.Table:
@@ -263,51 +259,3 @@ def _empty_cascade_out(spec: FeatureSpec, with_checksum: bool = True) -> pa.Tabl
     for c in ("merged_mean", "merged_variance", "merged_std", "merged_skewness", "merged_kurtosis", "merged_min", "merged_max", "merged_sum", "merged_energy"):
         cols[c] = pa.array([], pa.float64())
     return pa.table(cols)
-
-
-def gap_fill(tier_ds, width_us: int):
-    """Dataset-level gap-fill (one group per conversation)."""
-    return tier_ds.groupby("conv_id").map_groups(
-        lambda t: gap_fill_group(t, width_us), batch_format="pyarrow"
-    )
-
-
-def cascade(tier_ds, fine_width_us: int, coarse_width_us: int, spec: FeatureSpec | None = None, num_blocks: int | None = None):
-    """fine tier points → coarse tier rows (one hash shuffle by conv_id)."""
-    from chronoxtract_ray.stages.util import default_shuffle_blocks, ensure_hash_shuffle
-
-    ensure_hash_shuffle(tier_ds)
-    spec = spec or FeatureSpec()
-
-    def fn(t: pa.Table) -> pa.Table:
-        return cascade_block(t, fine_width_us, coarse_width_us, spec)
-
-    ds = tier_ds.repartition(num_blocks or default_shuffle_blocks(), keys=["conv_id"], sort=False)
-    return ds.map_batches(fn, batch_size=None, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def cascade_multi(tier_ds, steps: list[tuple[str, int, int]], spec: FeatureSpec | None = None, num_blocks: int | None = None):
-    """Chain several cascade steps in ONE execution: each block holds whole
-    conversations of the finest tier, so every coarser tier derives in-memory
-    from the previous step's rows. ``steps``: [(tier_name, fine_width_us,
-    coarse_width_us), ...] applied in order (e.g. 1m→1h then 1h→1d). Output
-    rows carry a ``tier`` column for the per-(tier, partition) writer."""
-    from chronoxtract_ray.stages.util import default_shuffle_blocks, ensure_hash_shuffle
-
-    ensure_hash_shuffle(tier_ds)
-    spec = spec or FeatureSpec()
-
-    def fn(t: pa.Table) -> pa.Table:
-        outs = []
-        cur = t
-        for tier_name, wf, wc in steps:
-            cur = cascade_block(cur, wf, wc, spec)
-            outs.append(cur.append_column("tier_name", pa.array([tier_name] * cur.num_rows, pa.string())))
-        if not outs:
-            return _empty_cascade_out(
-                spec, with_checksum="text_checksum" in t.column_names
-            ).append_column("tier_name", pa.array([], pa.string()))
-        return pa.concat_tables(outs, promote_options="default")
-
-    ds = tier_ds.repartition(num_blocks or default_shuffle_blocks(), keys=["conv_id"], sort=False)
-    return ds.map_batches(fn, batch_size=None, batch_format="pyarrow", zero_copy_batch=True)

@@ -1,15 +1,15 @@
-"""Stateless derive stage: transcripts → (conv_id, bucket, ts_us, value, crc).
+"""Stateless derive stage: transcripts → (conv_id, turn_idx, bucket, ts_us,
+value, crc[, part]).
 
 Runs as ``map_batches(derive_batch, batch_format="pyarrow")`` — zero-copy
 Arrow in/out, vectorized pyarrow.compute kernels, no Python row loop except
 the optional CRC (cython-vectorized via pandas hash).
 
 The numeric channel is ``value = utf8_length(text)`` (the reference only
-consumes f64 series; SURVEY.md §1.2). ``bucket`` is the salted co-location
-key: floor(ts / bucket_us). Salting by a *time* bucket (aligned to the window
-width) keeps every tumbling window intact inside exactly one group while
-splitting hot conversations across groups — safe because all features are
-per-(conv_id, window) (SURVEY.md §7.3).
+consumes f64 series; SURVEY.md §1.2). ``part`` = hash(conv_id) % P is the
+one partitioning key the pipeline shuffles on. ``bucket`` =
+floor(ts / bucket_us) * bucket_us is kept in the derived schema but no
+engine stage reads it.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ def derive_batch(
     value = pc.cast(pc.utf8_length(batch["text"]), pa.float64())
     # FLOOR division, not pc.divide: integer pc.divide truncates toward zero,
     # which for pre-epoch (negative) timestamps puts the rows of one tumbling
-    # window into TWO salt buckets — the window straddles blocks and the
-    # rollup emits duplicate (conv, window) rows. Must match the kernel's
-    # floor (windowed.py window_start) and checkpoint's chunk grid.
+    # window into TWO buckets. Matches the kernel's floor (windowed.py
+    # window_start) and checkpoint's chunk grid.
     bucket = pa.array((ts_us.to_numpy() // bucket_us) * bucket_us, pa.int64())
     cols = {
         "conv_id": batch["conv_id"],

@@ -1,24 +1,11 @@
-"""Stateful Gorilla-encoding stage (actor pool).
+"""Gorilla chunk rows → point rows, for the read path.
 
-Turns tier point rows into compressed chunk rows:
-``(conv_id, chunk_start, n_points, first_window, last_window,
-gorilla_timestamps:binary, gorilla_values:binary)``.
-
-Ray Data shape:
-
-    tier.repartition(B, keys=["conv_id", "chunk_start"], sort=True)
-        .map_batches(GorillaEncoder, batch_size=None, concurrency=(1, N))
-
-The UDF is a CLASS, so Ray runs it in an actor pool; each actor holds its
-per-partition encoder state (cumulative compression metrics + warm scratch)
-across every block it encodes (north rule: "Gorilla encoders live in a
-stateful actor pool carrying per-partition compression state"). Each block
-contains many complete (conv, chunk) groups — the encoder segments the block
-vectorized and emits one row per chunk.
-
-Chunk boundaries are deterministic — ``chunk_start = window_start //
-chunk_span * chunk_span`` — so re-runs and resumed runs produce identical
-chunk rows regardless of parallelism.
+Chunk rows ``(conv_id, chunk_start, n_points, first_window, last_window,
+gorilla_timestamps:binary, gorilla_values:binary)`` are written by the
+pipeline's ``PartitionWriter`` (state/checkpoint.py), one per (conversation,
+chunk span). Chunk boundaries are deterministic — ``chunk_start =
+window_start // chunk_span * chunk_span`` — so re-runs and resumed runs
+produce identical chunk rows regardless of parallelism.
 """
 
 from __future__ import annotations
@@ -28,122 +15,7 @@ import pyarrow as pa
 
 from chronoxtract_ray.state import gorilla
 
-__all__ = ["GorillaEncoder", "encode_tier", "decode_chunks", "add_chunk_key"]
-
-
-class GorillaEncoder:
-    """Actor-pool UDF: blocks of keyed tier points → compressed chunk rows.
-
-    Per-actor state: cumulative (points, raw_bytes, encoded_bytes) —
-    surfaced on every output row so the pipeline can aggregate compression
-    stats without a side channel."""
-
-    def __init__(self, value_col: str = "mean"):
-        self.value_col = value_col
-        self.points = 0
-        self.raw_bytes = 0
-        self.enc_bytes = 0
-
-    def __call__(self, block: pa.Table) -> pa.Table:
-        if block.num_rows == 0:
-            return self._empty()
-        block = block.sort_by(
-            [("conv_id", "ascending"), ("chunk_start", "ascending"), ("window_start", "ascending")]
-        )
-        conv_s = block["conv_id"].to_numpy(zero_copy_only=False)
-        chunk_s = block["chunk_start"].to_numpy()
-        win_s = block["window_start"].to_numpy()
-        val_s = block[self.value_col].to_numpy()
-        conv_change = np.concatenate(([False], conv_s[1:] != conv_s[:-1]))
-        codes = np.cumsum(conv_change)
-        seg = np.concatenate(([True], (codes[1:] != codes[:-1]) | (chunk_s[1:] != chunk_s[:-1])))
-        starts = np.flatnonzero(seg)
-        ends = np.concatenate((starts[1:], [win_s.size]))
-        # batch encoders: one grouped bit-packing pass over ALL chunks in
-        # the block (state/gorilla.py) — byte-identical blobs to the
-        # per-chunk API at ~6x less per-chunk call overhead, and the same
-        # path checkpoint._encode_chunks uses, so the two writers cannot
-        # drift
-        ts_blobs = gorilla.encode_timestamps_batch(win_s, starts)
-        v_blobs = gorilla.encode_values_batch(val_s, starts)
-        out_conv = conv_s[starts]
-        out_chunk = chunk_s[starts]
-        out_n = (ends - starts).tolist()
-        out_fw = win_s[starts]
-        out_lw = win_s[ends - 1]
-        out_ts, out_v = ts_blobs, v_blobs
-        self.points += int(win_s.size)
-        self.raw_bytes += 16 * int(win_s.size)
-        self.enc_bytes += sum(map(len, ts_blobs)) + sum(map(len, v_blobs))
-        return pa.table(
-            {
-                "conv_id": pa.array(out_conv, pa.string()),
-                "chunk_start": pa.array(out_chunk, pa.int64()),
-                "n_points": pa.array(out_n, pa.int64()),
-                "first_window": pa.array(out_fw, pa.int64()),
-                "last_window": pa.array(out_lw, pa.int64()),
-                "gorilla_timestamps": pa.array(out_ts, pa.binary()),
-                "gorilla_values": pa.array(out_v, pa.binary()),
-                "actor_points_total": pa.array([self.points] * len(out_n), pa.int64()),
-            }
-        )
-
-    @staticmethod
-    def _empty() -> pa.Table:
-        return pa.table(
-            {
-                "conv_id": pa.array([], pa.string()),
-                "chunk_start": pa.array([], pa.int64()),
-                "n_points": pa.array([], pa.int64()),
-                "first_window": pa.array([], pa.int64()),
-                "last_window": pa.array([], pa.int64()),
-                "gorilla_timestamps": pa.array([], pa.binary()),
-                "gorilla_values": pa.array([], pa.binary()),
-                "actor_points_total": pa.array([], pa.int64()),
-            }
-        )
-
-
-def add_chunk_key(tier_ds, chunk_span_us: int):
-    """Vectorized chunk-key derivation (map_batches, zero-copy Arrow)."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        # FLOOR division to match the production writer's `(win // span) *
-        # span` (checkpoint._encode_chunks): pc.divide truncates toward
-        # zero, which disagrees on pre-epoch (negative) window_starts and
-        # would break the cross-path "identical chunk rows" invariant
-        ws = t["window_start"].to_numpy()
-        ck = (ws // chunk_span_us) * chunk_span_us
-        return t.append_column("chunk_start", pa.array(ck, pa.int64()))
-
-    return tier_ds.map_batches(fn, batch_format="pyarrow")
-
-
-def encode_tier(
-    tier_ds,
-    width_us: int,
-    value_col: str = "mean",
-    points_per_chunk: int = 1024,
-    concurrency=(1, 8),
-    num_blocks: int | None = None,
-):
-    """Tier points → deterministic compressed chunks via an actor pool."""
-    from chronoxtract_ray.stages.util import ensure_hash_shuffle
-
-    ensure_hash_shuffle(tier_ds)
-    span = width_us * points_per_chunk
-    keyed = add_chunk_key(tier_ds.select_columns(["conv_id", "window_start", value_col]), span)
-    from chronoxtract_ray.stages.util import default_shuffle_blocks
-
-    ds = keyed.repartition(num_blocks or default_shuffle_blocks(), keys=["conv_id", "chunk_start"], sort=False)
-    return ds.map_batches(
-        GorillaEncoder,
-        fn_constructor_args=(value_col,),
-        batch_size=None,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
-    )
+__all__ = ["decode_chunks"]
 
 
 def decode_chunks(chunks: pa.Table) -> pa.Table:

@@ -67,7 +67,7 @@ at the start of every ingest run (and of every retention run — see
 retention pass can never interleave with a half-committed merge. Staging
 trees left by pre-READY crashes are garbage-collected at ingest start.
 Crash before READY leaves the old state fully intact. The dataflow is the
-flagship's: derive → ONE hash shuffle on ``part`` → partition-local actor
+flagship's: derive → ONE hash shuffle on ``part`` → partition-local task
 work; at 100 TB an hourly batch touches its own partitions only, each in
 one task, and rewrites only segment files overlapping the open region.
 
@@ -102,7 +102,6 @@ from chronoxtract_ray.pipelines.rollup_pipeline import (
     MINUTE_US,
     PipelineConfig,
     _gorilla_cfg,
-    _writer_pool,
 )
 from chronoxtract_ray.stages.cascade import cascade_block
 from chronoxtract_ray.stages.derive import make_derive
@@ -263,12 +262,12 @@ def _chunk_floor(ws, span: int):
 
 
 class IncrementalWriteStage:
-    """Actor-pool UDF: one partition-aligned block of NEW derived turns →
-    merged 1m/1h/1d rows + chunks + open buffer, committed exactly-once.
+    """Task UDF: one partition-aligned block of NEW derived turns → merged
+    1m/1h/1d rows + chunks + open buffer, committed exactly-once.
 
-    Same actor shape as the batch RollupWriteStage (the Gorilla encoder and
-    rollup kernel live in ``__init__``); fed by ``repartition(P,
-    keys=["part"])`` so each call owns whole partitions."""
+    Same shape as the batch RollupWriteStage (the chunk encoder and rollup
+    kernel are built in ``__init__``, no state crosses blocks); fed by
+    ``repartition(P, keys=["part"])`` so each call owns whole partitions."""
 
     def __init__(self, out_root: str, cfg: PipelineConfig, batch_id: str, allowed_lateness_us: int = 0):
         self.root = out_root
@@ -805,15 +804,11 @@ def run_incremental_ingest(
             batch_format="pyarrow",
         )
     keyed = derived.repartition(cfg.num_parts, keys=["part"], sort=False)
-    wconc, w_cpus = _writer_pool(cfg)
     recs = keyed.map_batches(
-        IncrementalWriteStage,
-        fn_constructor_args=(out_root, cfg, batch_id, allowed_lateness_us),
+        IncrementalWriteStage(out_root, cfg, batch_id, allowed_lateness_us),
         batch_size=None,
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=wconc,
-        num_cpus=w_cpus,
     ).take_all()
     # every touched partition has committed; drop this batch's (now empty)
     # staging tree so crashed-and-rerun batches don't accumulate leftovers

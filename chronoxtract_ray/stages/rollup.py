@@ -1,23 +1,16 @@
-"""Windowed rollup stage: derived rows → one feature row per (conv, window).
+"""Windowed rollup block function: derived rows → one feature row per
+(conv, window).
 
-Ray Data shape:
-
-    derived.repartition(B, keys=["conv_id", "bucket"], sort=False)
-           .map_batches(block_fn, batch_size=None, batch_format="pyarrow")
-
-ONE hash shuffle co-locates each (conversation, time-bucket) group and the
+``make_block_rollup`` returns the function the pipeline's writer stages
+apply to one partition-aligned block (pipelines/rollup_pipeline.py): the
+hash shuffle on ``part`` only co-locates each conversation's rows, and the
 block function applies the deterministic (conv, ts, turn_idx) sort itself
-(one C++ Arrow sort per block is cheaper than a sorted shuffle);
-every output block then holds thousands of complete groups and the fused
-multi-series NumPy kernel (kernels/windowed.py) processes the whole block in
-a single vectorized call — no per-group Python dispatch. (A
-groupby().map_groups() formulation computes the same thing but pays one UDF
-call per tiny group; measured >5x slower on transcript-shaped data.)
-
-The bucket key is the hot-key salt: a conversation with 10^6 turns splits
-into per-bucket groups instead of one giant straggler group (SURVEY.md §4.2
-'salting'); bucket_us is a multiple of width_us so windows never straddle
-buckets.
+(one C++ Arrow sort per block is cheaper than a sorted shuffle). Every block
+holds thousands of complete conversations and the fused multi-series NumPy
+kernel (kernels/windowed.py) processes the whole block in a single
+vectorized call — no per-group Python dispatch. (A groupby().map_groups()
+formulation computes the same thing but pays one UDF call per tiny group;
+measured >5x slower on transcript-shaped data.)
 
 Determinism: rows are sorted by (conv, ts, turn_idx) inside the block before
 any order-sensitive computation; ``text_checksum`` is an order-SENSITIVE
@@ -37,7 +30,7 @@ import pyarrow as pa
 from chronoxtract_ray.kernels import custom_features
 from chronoxtract_ray.kernels.windowed import FeatureSpec, compute_windowed_features
 
-__all__ = ["RollupConfig", "make_block_rollup", "rollup", "order_checksum"]
+__all__ = ["RollupConfig", "make_block_rollup", "order_checksum"]
 
 MINUTE_US = 60_000_000
 HOUR_US = 3_600_000_000
@@ -47,7 +40,7 @@ DAY_US = 86_400_000_000
 @dataclass(frozen=True)
 class RollupConfig:
     width_us: int = MINUTE_US
-    bucket_us: int = HOUR_US  # salt granularity; must be a multiple of width_us
+    bucket_us: int = HOUR_US  # derive's ``bucket`` column; no engine stage reads it
     spec: FeatureSpec = field(default_factory=FeatureSpec)
     with_checksum: bool = True
     extra_features: tuple[str, ...] = ()  # names from kernels.register_feature
@@ -132,18 +125,3 @@ def _empty_out(cfg: RollupConfig) -> pa.Table:
     if cfg.with_checksum:
         cols["text_checksum"] = pa.array([], pa.uint64())
     return pa.table(cols)
-
-
-def rollup(derived_ds, cfg: RollupConfig, num_blocks: int | None = None):
-    """derived rows → tier point rows (one row per (conv_id, window)).
-
-    ``num_blocks``: hash-shuffle output partitions. Size so one partition's
-    rows fit a worker's heap (rows/num_blocks * ~100B); the default targets
-    local-mode test/bench scale — raise for clusters."""
-    from chronoxtract_ray.stages.util import default_shuffle_blocks, ensure_hash_shuffle
-
-    ensure_hash_shuffle(derived_ds)
-    ds = derived_ds.repartition(num_blocks or default_shuffle_blocks(), keys=["conv_id", "bucket"], sort=False)
-    return ds.map_batches(
-        make_block_rollup(cfg), batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    )

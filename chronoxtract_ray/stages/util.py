@@ -9,7 +9,6 @@ _READ_CONSTRUCT_LOCK = threading.Lock()
 __all__ = [
     "ensure_hash_shuffle",
     "ensure_sort_shuffle",
-    "default_shuffle_blocks",
     "collect_table",
     "round_half_away",
     "file_cache_key",
@@ -118,19 +117,6 @@ def ensure_sort_shuffle(ds):
     return ds
 
 
-def default_shuffle_blocks() -> int:
-    """Partition count for keyed shuffles: ~2x the session CPUs (enough
-    parallelism without flooding a small local node with aggregator actors;
-    on a real cluster CPUs scale with nodes and so does this)."""
-    import ray
-
-    try:
-        n = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:
-        n = 8
-    return max(8, 2 * n)
-
-
 def ensure_hash_shuffle(ds=None, num_partitions: int | None = None):
     """Switch the Ray Data context to the hash-shuffle strategy.
 
@@ -163,8 +149,8 @@ def ensure_hash_shuffle(ds=None, num_partitions: int | None = None):
     # The override is PER PARTITION, so the pool's total logical reservation
     # is override × P — independent of session size. A flat 0.025 (~10% of a
     # 32-CPU session at P≈4n) silently becomes 40% of a 4-CPU session at
-    # P=64, which together with the writer pool's 40% leaves less than the
-    # 1.0 CPU a derive task needs: the session wedges at ~zero throughput
+    # P=64; with the other operators' reservations that left less than the
+    # 1.0 CPU a derive task needs and the session wedged at ~zero throughput
     # (measured 2026-08-19: 4 CPUs/P=64 never finished 25k convs while
     # 4 CPUs/P=16 ran 112k turns/s). Cap the TOTAL at ~15% of the session.
     # budget against the LARGEST partition count this context will shuffle:
@@ -172,8 +158,9 @@ def ensure_hash_shuffle(ds=None, num_partitions: int | None = None):
     # pass it as num_partitions; otherwise the context default applies
     denom = max(int(ctx.default_hash_shuffle_parallelism or 1), int(num_partitions or 0), 1)
     # floor at 0.0001: round() can hit 0.0 for tiny sessions with very large
-    # explicit partition counts, and a 0.0 override reads as unset/falsy —
-    # silently reverting to the default reservation this cap exists to fix
+    # explicit partition counts. Ray 2.49 applies a 0.0 override as given
+    # (``_get_aggregator_num_cpus_per_partition`` tests ``is not None``), so
+    # without the floor the aggregators would reserve no CPU at all
     per_part = max(0.0001, min(0.025, round(max(0.15 * n, 0.5) / denom, 4)))
     ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = per_part
     if ds is not None:

@@ -220,18 +220,16 @@ def write_partition(root: str, tier: str, part: int, table, metrics: dict | None
 
 
 class PartitionWriter:
-    """Actor-pool map_batches UDF: write each hash partition's tier rows
-    atomically AND (optionally) their Gorilla-compressed point chunks.
+    """Write each hash partition's tier rows atomically AND (optionally)
+    their Gorilla-compressed point chunks; called by the pipeline's writer
+    stages on one block at a time.
 
     Fed by ``repartition(keys=["part"])`` so each block holds whole
     partitions (possibly several when hash buckets collide); writes one
     directory + manifest per partition (idempotent: a retried task rewrites
     the same files). A partition only counts as complete once tier rows and
-    chunks are both on disk (single manifest covers both).
-
-    This IS the stateful Gorilla stage of the north rule: each actor carries
-    its encoder and cumulative per-partition compression state across every
-    partition it writes."""
+    chunks are both on disk (single manifest covers both). Holds only its
+    configuration: no state crosses blocks."""
 
     def __init__(self, root: str, num_parts: int, gorilla_by_tier: dict | None = None, run_id: str | None = None):
         """``gorilla_by_tier``: tier name → gorilla cfg dict ({"width_us":...,
@@ -244,8 +242,6 @@ class PartitionWriter:
         self.num_parts = num_parts
         self.gorilla_by_tier = gorilla_by_tier or {}
         self.run_id = run_id
-        self.enc_points = 0
-        self.enc_bytes = 0
 
     def _guard_split(self, tier: str, part: int, new_rows: int) -> None:
         if self.run_id is None:
@@ -282,26 +278,15 @@ class PartitionWriter:
         # partition (~6x less per-chunk overhead; byte-identical blobs)
         ts_blobs = gorilla.encode_timestamps_batch(win, starts)
         v_blobs = gorilla.encode_values_batch(val, starts)
-        cols = {
-            "conv_id": conv[starts],
-            "chunk_start": chunk[starts],
-            "n_points": ends - starts,
-            "first_window": win[starts],
-            "last_window": win[ends - 1],
-            "gorilla_timestamps": ts_blobs,
-            "gorilla_values": v_blobs,
-        }
-        self.enc_points += int(win.size)
-        self.enc_bytes += sum(map(len, ts_blobs)) + sum(map(len, v_blobs))
         return pa.table(
             {
-                "conv_id": pa.array(cols["conv_id"], pa.string()),
-                "chunk_start": pa.array(cols["chunk_start"], pa.int64()),
-                "n_points": pa.array(cols["n_points"], pa.int64()),
-                "first_window": pa.array(cols["first_window"], pa.int64()),
-                "last_window": pa.array(cols["last_window"], pa.int64()),
-                "gorilla_timestamps": pa.array(cols["gorilla_timestamps"], pa.binary()),
-                "gorilla_values": pa.array(cols["gorilla_values"], pa.binary()),
+                "conv_id": pa.array(conv[starts], pa.string()),
+                "chunk_start": pa.array(chunk[starts], pa.int64()),
+                "n_points": pa.array(ends - starts, pa.int64()),
+                "first_window": pa.array(win[starts], pa.int64()),
+                "last_window": pa.array(win[ends - 1], pa.int64()),
+                "gorilla_timestamps": pa.array(ts_blobs, pa.binary()),
+                "gorilla_values": pa.array(v_blobs, pa.binary()),
             }
         )
 

@@ -2,7 +2,7 @@
 
 The oracle path is deliberately different from the engine path: pandas
 groupby over the raw input + single-series kernels per window, versus the
-engine's salted Ray groupby + fused vectorized kernel.
+engine's hash-partitioned Ray shuffle + fused vectorized kernel.
 """
 
 from __future__ import annotations
@@ -304,15 +304,16 @@ def test_cascade_block_property():
     run()
 
 
-def test_pre_epoch_bucket_salting_no_window_split(ray_session):
-    """Pre-epoch (negative) timestamps: the salt bucket must FLOOR-divide.
-    Truncating division (pc.divide) mapped ts=-bucket_us and ts=-bucket_us+1
-    into different buckets, splitting one tumbling window across two shuffle
-    groups — the rollup then emitted duplicate (conv, window) rows."""
+def test_pre_epoch_bucket_salting_no_window_split(ray_session, tmp_path):
+    """Pre-epoch (negative) timestamps: every time grid must FLOOR-divide.
+    Truncating division (pc.divide) maps ts=-bucket_us and ts=-bucket_us+1
+    into different buckets; a window grid that truncated the same way would
+    split one tumbling window into two rows — the pipeline must emit
+    exactly one (conv, window) row per floored 1m window."""
     import ray.data as rd
 
-    from chronoxtract_ray.stages.derive import derive_batch, make_derive
-    from chronoxtract_ray.stages.rollup import RollupConfig, rollup
+    from chronoxtract_ray.stages.derive import derive_batch
+    from chronoxtract_ray.stages.rollup import RollupConfig
 
     # turns straddling the bucket boundary at -HOUR_US and at 0, plus a
     # plainly pre-epoch window interior
@@ -333,9 +334,10 @@ def test_pre_epoch_bucket_salting_no_window_split(ray_session):
     assert np.array_equal(
         d["bucket"].to_numpy(), (d["ts_us"].to_numpy() // HOUR_US) * HOUR_US
     )
-    cfg = RollupConfig(spec=FeatureSpec(order_stats=False, entropy=False, fft=False, shape=False, hjorth=False))
-    derived = rd.from_arrow(tbl).map_batches(make_derive(cfg.bucket_us), batch_format="pyarrow")
-    out = rollup(derived, cfg, num_blocks=4).to_pandas()
+    spec = FeatureSpec(order_stats=False, entropy=False, fft=False, shape=False, hjorth=False)
+    cfg = PipelineConfig(num_parts=4, rollup=RollupConfig(spec=spec), cascade_spec=spec)
+    run_rollup_pipeline(rd.from_arrow(tbl), str(tmp_path), cfg)
+    out = tier_table(str(tmp_path), "1m").to_pandas()
     keys = list(zip(out["conv_id"], out["window_start"]))
     assert len(keys) == len(set(keys)), "duplicate (conv, window) rows — bucket straddle"
     # oracle: floor-division window counts
@@ -344,6 +346,24 @@ def test_pre_epoch_bucket_salting_no_window_split(ray_session):
     assert len(got) == len(ref)
     for ws, cnt in ref.items():
         assert got[ws] == cnt
+
+
+def test_custom_feature_registry(ray_session, tmp_path):
+    """register_feature → RollupConfig.extra_features → 1m tier column
+    written by run_rollup_pipeline."""
+    import ray.data as rd
+
+    from chronoxtract_ray.stages.rollup import RollupConfig
+
+    k.register_feature("p90_minus_p10", lambda v: float(np.percentile(v, 90) - np.percentile(v, 10)))
+    tbl = generate_table(4, base_turns=20, hot_every=0)
+    cfg = PipelineConfig(num_parts=2, rollup=RollupConfig(extra_features=("p90_minus_p10",)))
+    run_rollup_pipeline(rd.from_arrow(tbl), str(tmp_path), cfg)
+    out = tier_table(str(tmp_path), "1m").to_pandas()
+    assert len(out) > 0
+    assert "p90_minus_p10" in out.columns
+    assert np.isfinite(out["p90_minus_p10"]).all()
+    assert (out["p90_minus_p10"] >= 0).all()
 
 
 def test_gorilla_chunks_decode_to_tier_points(pipeline_run):
@@ -360,9 +380,10 @@ def test_gorilla_chunks_decode_to_tier_points(pipeline_run):
 
 
 def test_hot_conversation_salted_consistency(pipeline_run):
-    """Hot convs (hot_every=5) cross bucket boundaries; their windows must
-    still be complete and correct — checked implicitly by the oracle test, and
-    here: window count equals oracle count per hot conv."""
+    """Hot convs (hot_every=5) span many hours and land whole in their
+    partition; their windows must be complete and correct — checked
+    implicitly by the oracle test, and here: window count equals oracle
+    count per hot conv."""
     tbl, _ = pipeline_run
     t1m = tier_table(OUT, "1m").to_pandas()
     df = _oracle_windows(tbl, MINUTE_US)

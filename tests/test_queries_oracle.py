@@ -120,3 +120,25 @@ def test_entry_smoke(entrymod):
     df = entrymod.entry()
     assert len(df) > 0
     assert "mean" in df.columns and "conv_id" in df.columns
+
+
+def test_collect_table_preserves_types_and_handles_empty(ray_session):
+    """collect_table fetches result blocks as typed Arrow (uint64 survives;
+    from_pylist would have re-inferred) and returns a schema'd empty table
+    when every block filtered to zero rows."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from chronoxtract_ray.stages.util import collect_table
+
+    t = pa.table({"k": pa.array([1, 2, 3], pa.uint64()), "v": pa.array([1.0, 2.0, 3.0])})
+    ds = rd.from_arrow(t)
+    got = collect_table(ds)
+    assert got.schema.field("k").type == pa.uint64()
+    assert got.num_rows == 3
+
+    # all-rows-filtered: 0 rows; columns may be absent when Ray returns no
+    # blocks at all (same contract as the old from_pylist([]) path — callers
+    # with possibly-empty results build their own typed empty tables)
+    empty = collect_table(ds.filter(lambda r: False))
+    assert empty.num_rows == 0
