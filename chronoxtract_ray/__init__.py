@@ -10,10 +10,10 @@ only), re-expressed Ray-Data-first:
 - feature kernels: pure NumPy (``chronoxtract_ray.kernels``), one function per
   reference operator, each citing the reference file:line it mirrors
 - execution: ``ray.data.Dataset`` pipelines — ``map_batches`` over zero-copy
-  Arrow batches; the rollup is derive → one hash shuffle on the conversation's
-  partition → one writer task per partition that computes every tier and
-  its Gorilla chunks in memory (no salting: a hot conversation lands whole
-  in its partition)
+  Arrow batches; the rollup is derive → one exchange on the conversation's
+  partition (a Ray split task per block) → one writer task per partition
+  that computes every tier and its Gorilla chunks in memory (no salting: a
+  hot conversation lands whole in its partition)
 - tiers: raw -> 1m -> 1h -> 1d continuous aggregates with gap-fill and
   Gorilla XOR / delta-of-delta compressed point streams
 - checkpoint/resume: per-partition watermarks + manifest

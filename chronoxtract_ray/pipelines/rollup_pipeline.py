@@ -1,25 +1,26 @@
 """End-to-end rollup pipeline: transcripts → 1m → 1h → 1d (+ Gorilla chunks).
 
-Partition-aligned dataflow — ONE Ray execution, ONE all-to-all shuffle:
+Partition-aligned dataflow — ONE Ray Data execution, ONE all-to-all exchange:
 
     read_parquet(transcripts)
-      → map_batches(derive: value/crc/part; resume filter)  [task]
-      → repartition(P, keys=["part"])                       [the ONE shuffle]
-      → map_batches(RollupWriteStage instance)              [task]: fused window
-        kernel → 1m rows, then the 1h/1d cascades run in-memory on those rows
-        (a partition never round-trips through storage between tiers); tier
+      → map_batches(derive: value/crc/part; resume filter)  [Ray Data task]
+      → split task per derived block: P pieces + counts     [the ONE exchange,
+      → driver: refuse a partition too big for one node      stages/exchange.py]
+      → RollupWriteStage task per non-empty partition: fused window kernel →
+        1m rows, then the 1h/1d cascades run in-memory on those rows (a
+        partition never round-trips through storage between tiers); tier
         rows + Gorilla chunks + per-partition manifests written atomically
         per tier
 
 Why this shape: every group-forming step rides ONE hash partitioning that is
 then reused by every later stage (SURVEY.md §7.3 'pick ONE partitioning key
-and reuse it'). The writer keeps no state across blocks (one block per
-partition, plain-config constructor), so it runs as a Ray Data task: an
-instance passed to ``map_batches`` is a task UDF, a class would start an
-actor pool whose fixed CPU reservation starves upstream tasks in a small
-session. The engine does not salt: a hot conversation lands whole in its
-partition, and a conversation larger than a partition block needs a larger
-``num_parts``.
+and reuse it'). The exchange runs as plain Ray tasks rather than a Ray Data
+shuffle, whose aggregator actors cost seconds per call and reserve CPU that
+stalls a 1-CPU session. The writer keeps no state across calls (one
+partition per call, plain-config constructor), so one instance serves every
+write task. The engine does not salt: a hot conversation lands whole in its
+partition, and a partition too large for one node needs a larger
+``num_parts`` (the exchange names it).
 
 Resumability: a partition with complete manifests for all three tiers is
 skipped at derive time; killed runs redo only unfinished partitions
@@ -72,7 +73,7 @@ def _gorilla_cfg(cfg: PipelineConfig, tier: str) -> dict | None:
 
 
 class RollupWriteStage:
-    """Task UDF: one partition-aligned block of derived rows → 1m tier rows
+    """Writer: one partition's derived rows → 1m tier rows
     + 1h/1d cascade rows + Gorilla chunks + manifests on disk, all from the
     in-memory block — the partition never round-trips through storage
     between tiers. Returns stats rows."""
@@ -187,20 +188,23 @@ def backfill_partitions(out_root: str, parts: list[int], num_parts: int) -> None
 
 
 def run_rollup_pipeline(source, out_root: str, cfg: PipelineConfig | None = None) -> dict:
-    """``source``: a transcripts Dataset or a parquet path. Returns metrics.
+    """``source``: a transcripts Dataset or a parquet path. Returns metrics,
+    among them ``part_rows``/``part_bytes``: the derived rows and bytes of
+    each of the ``num_parts`` partitions, after the resume filter.
 
     Sizing for clusters: each hash partition is processed as ONE in-memory
-    block by one writer task (derived rows ≈ 40 B/turn + tier rows +
+    table by one writer task (derived rows ≈ 40 B/turn + tier rows +
     gap-filled intermediates ≈ 3-4x that). Choose ``num_parts`` so
     raw_bytes x 0.4 / num_parts stays well under a worker's heap — e.g.
-    ~40k partitions for a 100 TB input with 1-2 GB partition budgets. All
-    other scaling follows from Ray scheduling more partitions across more
-    nodes; there is exactly one all-to-all exchange regardless of size."""
-    from chronoxtract_ray.stages.util import ensure_hash_shuffle
+    ~40k partitions for a 100 TB input with 1-2 GB partition budgets; a
+    partition larger than the smallest node's object store is refused
+    before any write. All other scaling follows from Ray scheduling more
+    partitions across more nodes; there is exactly one all-to-all exchange
+    regardless of size (N blocks x P pieces)."""
+    from chronoxtract_ray.stages.exchange import exchange_by_part
 
     cfg = cfg or PipelineConfig()
     P = cfg.num_parts
-    ensure_hash_shuffle(num_partitions=P)
     os.makedirs(out_root, exist_ok=True)
     ckpt.ensure_store_meta(
         out_root,
@@ -222,7 +226,6 @@ def run_rollup_pipeline(source, out_root: str, cfg: PipelineConfig | None = None
         ds = read_transcripts(source)  # projected to TRANSCRIPT_SCHEMA
     else:
         ds = source
-    ensure_hash_shuffle(ds, num_partitions=P)
 
     metrics: dict = {"tiers": {}, "num_parts": P}
     t_start = time.time()
@@ -233,7 +236,7 @@ def run_rollup_pipeline(source, out_root: str, cfg: PipelineConfig | None = None
         done = frozenset.intersection(*(ckpt.completed_parts(out_root, t, P) for t, _ in TIERS))
     metrics["resumed_parts_skipped"] = sorted(done)
 
-    # derive → ONE shuffle → rollup + cascade + write tasks
+    # derive → the one exchange → one rollup + cascade + write task per partition
     derived = ds.map_batches(
         make_derive(
             cfg.rollup.bucket_us,
@@ -243,18 +246,14 @@ def run_rollup_pipeline(source, out_root: str, cfg: PipelineConfig | None = None
         ),
         batch_format="pyarrow",
     )
-    keyed = derived.repartition(P, keys=["part"], sort=False)
-    results = keyed.map_batches(
-        RollupWriteStage(out_root, cfg, done, uuid.uuid4().hex),
-        batch_size=None,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).take_all()
-    # structural split-partition guard: each (tier, part) must be written by
-    # exactly ONE writer call this run. If the hash shuffle ever splits a
-    # partition across blocks, two calls report the same (tier, part) here —
-    # including concurrent equal-row-count splits the manifest-based run_id
-    # guard cannot see — and we fail loudly instead of silently losing rows.
+    results, metrics["part_rows"], metrics["part_bytes"] = exchange_by_part(
+        derived, P, RollupWriteStage(out_root, cfg, done, uuid.uuid4().hex)
+    )
+    # split-partition guard: each (tier, part) must be written by exactly ONE
+    # writer call this run. The exchange hands each partition whole to one
+    # task; if that ever breaks, two calls report the same (tier, part) here
+    # (including concurrent equal-row-count splits the manifest-based run_id
+    # guard cannot see) and we fail loudly instead of silently losing rows.
     seen: dict[tuple, int] = {}
     for r in results:
         key = (r["tier"], r["part"])
@@ -263,8 +262,7 @@ def run_rollup_pipeline(source, out_root: str, cfg: PipelineConfig | None = None
     if dups:
         raise RuntimeError(
             f"partition(s) {dups[:8]} written by more than one writer call in "
-            f"one run: the hash shuffle split a partition across blocks — "
-            f"raise num_parts so each partition fits one block"
+            f"one run: the exchange split a partition across writer calls"
         )
     wall = time.time() - t_start
     stats = {"rows_written": int(sum(r["rows"] for r in results)), "wall_s": wall}

@@ -7,7 +7,7 @@ the optional CRC (cython-vectorized via pandas hash).
 
 The numeric channel is ``value = utf8_length(text)`` (the reference only
 consumes f64 series; SURVEY.md §1.2). ``part`` = hash(conv_id) % P is the
-one partitioning key the pipeline shuffles on. ``bucket`` =
+one partitioning key the pipeline exchanges rows on. ``bucket`` =
 floor(ts / bucket_us) * bucket_us is kept in the derived schema but no
 engine stage reads it.
 """

@@ -67,9 +67,10 @@ at the start of every ingest run (and of every retention run — see
 retention pass can never interleave with a half-committed merge. Staging
 trees left by pre-READY crashes are garbage-collected at ingest start.
 Crash before READY leaves the old state fully intact. The dataflow is the
-flagship's: derive → ONE hash shuffle on ``part`` → partition-local task
-work; at 100 TB an hourly batch touches its own partitions only, each in
-one task, and rewrites only segment files overlapping the open region.
+flagship's: derive → the ONE exchange on ``part`` (stages/exchange.py) →
+one write task per touched partition; at 100 TB an hourly batch touches
+its own partitions only, each in one task, and rewrites only segment files
+overlapping the open region.
 
 Concurrency contract: ONE ingest job per store at a time (batches are
 sequential by nature — each builds on the previous watermark). Partitions
@@ -262,12 +263,13 @@ def _chunk_floor(ws, span: int):
 
 
 class IncrementalWriteStage:
-    """Task UDF: one partition-aligned block of NEW derived turns → merged
-    1m/1h/1d rows + chunks + open buffer, committed exactly-once.
+    """Writer: a table of NEW derived turns → merged 1m/1h/1d rows + chunks
+    + open buffer per partition in it, committed exactly-once.
 
     Same shape as the batch RollupWriteStage (the chunk encoder and rollup
-    kernel are built in ``__init__``, no state crosses blocks); fed by
-    ``repartition(P, keys=["part"])`` so each call owns whole partitions."""
+    kernel are built in ``__init__``, no state crosses calls); the exchange
+    (stages/exchange.py) calls it once per partition with all of that
+    partition's turns, so each call owns whole partitions."""
 
     def __init__(self, out_root: str, cfg: PipelineConfig, batch_id: str, allowed_lateness_us: int = 0):
         self.root = out_root
@@ -762,13 +764,12 @@ def run_incremental_ingest(
     (no raw buffer exists to reopen — see module docstring).
 
     Returns metrics: partitions touched, late rows dropped, 1m rows after
-    merge, buffered open-window turns."""
-    import ray.data as rd
-
-    from chronoxtract_ray.stages.util import ensure_hash_shuffle
+    merge, buffered open-window turns, and ``part_rows``/``part_bytes``:
+    the batch's derived rows and bytes in each of the ``num_parts``
+    partitions."""
+    from chronoxtract_ray.stages.exchange import exchange_by_part
 
     cfg = cfg or PipelineConfig()
-    ensure_hash_shuffle(num_partitions=cfg.num_parts)
     batch_id = batch_id or uuid.uuid4().hex
     os.makedirs(out_root, exist_ok=True)
     ckpt.ensure_store_meta(
@@ -787,7 +788,6 @@ def run_incremental_ingest(
         ds = read_transcripts(source)  # projected to TRANSCRIPT_SCHEMA
     else:
         ds = source
-    ensure_hash_shuffle(ds, num_partitions=cfg.num_parts)
 
     t0 = time.time()
     if pre_derived:
@@ -803,13 +803,9 @@ def run_incremental_ingest(
             make_derive(cfg.rollup.bucket_us, with_crc=cfg.rollup.with_checksum, num_parts=cfg.num_parts),
             batch_format="pyarrow",
         )
-    keyed = derived.repartition(cfg.num_parts, keys=["part"], sort=False)
-    recs = keyed.map_batches(
-        IncrementalWriteStage(out_root, cfg, batch_id, allowed_lateness_us),
-        batch_size=None,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).take_all()
+    recs, part_rows, part_bytes = exchange_by_part(
+        derived, cfg.num_parts, IncrementalWriteStage(out_root, cfg, batch_id, allowed_lateness_us)
+    )
     # every touched partition has committed; drop this batch's (now empty)
     # staging tree so crashed-and-rerun batches don't accumulate leftovers
     shutil.rmtree(os.path.join(out_root, "_staged", batch_id), ignore_errors=True)
@@ -822,4 +818,6 @@ def run_incremental_ingest(
         "dup_rows_dropped": int(sum(r["dup_rows"] or 0 for r in recs)),
         "rows_1m": int(sum(r["rows_1m"] for r in recs)),
         "buffered_turns": int(sum(r["buffered_turns"] or 0 for r in recs)),
+        "part_rows": part_rows,
+        "part_bytes": part_bytes,
     }

@@ -3,9 +3,9 @@
 
 ``make_block_rollup`` returns the function the pipeline's writer stages
 apply to one partition-aligned block (pipelines/rollup_pipeline.py): the
-hash shuffle on ``part`` only co-locates each conversation's rows, and the
+exchange on ``part`` only co-locates each conversation's rows, and the
 block function applies the deterministic (conv, ts, turn_idx) sort itself
-(one C++ Arrow sort per block is cheaper than a sorted shuffle). Every block
+(one C++ Arrow sort per block is cheaper than a sorted exchange). Every block
 holds thousands of complete conversations and the fused multi-series NumPy
 kernel (kernels/windowed.py) processes the whole block in a single
 vectorized call — no per-group Python dispatch. (A groupby().map_groups()
@@ -15,7 +15,7 @@ measured >5x slower on transcript-shaped data.)
 Determinism: rows are sorted by (conv, ts, turn_idx) inside the block before
 any order-sensitive computation; ``text_checksum`` is an order-SENSITIVE
 digest (crc * in-window-position) whose match against an independently
-computed oracle proves stable turn ordering survived the shuffle (the
+computed oracle proves stable turn ordering survived the exchange (the
 engine-side check for the north rule's 'per-turn text equality under stable
 turn ordering').
 """
@@ -63,7 +63,7 @@ def order_checksum(crc: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
 
 def _series_codes(conv: np.ndarray) -> np.ndarray:
     """Run-id codes for a conv array whose equal values are contiguous
-    (guaranteed by the keyed+sorted repartition)."""
+    (guaranteed by the block sort in ``make_block_rollup``)."""
     if conv.size == 0:
         return np.empty(0, dtype=np.int64)
     change = np.concatenate(([False], conv[1:] != conv[:-1]))
@@ -79,7 +79,7 @@ def make_block_rollup(cfg: RollupConfig):
         if n == 0:
             return _empty_out(cfg)
         # deterministic total order (conv, ts, turn_idx) — C++ Arrow sort;
-        # the shuffle only co-locates, it does not need to pre-sort
+        # the exchange only co-locates, it does not need to pre-sort
         block = block.sort_by(
             [("conv_id", "ascending"), ("ts_us", "ascending"), ("turn_idx", "ascending")]
         )

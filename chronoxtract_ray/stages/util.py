@@ -7,7 +7,6 @@ import threading
 _READ_CONSTRUCT_LOCK = threading.Lock()
 
 __all__ = [
-    "ensure_hash_shuffle",
     "ensure_sort_shuffle",
     "collect_table",
     "round_half_away",
@@ -107,71 +106,13 @@ def ensure_sort_shuffle(ds):
     """Pin a dataset to the task-based sort shuffle. Right for SMALL
     groupbys (driver queries over sf tables): the hash-shuffle path spawns
     an aggregator actor pool per execution (~5-8 s), which dwarfs the work
-    at 10^5-row scale. The big pipeline stages use hash shuffle."""
+    at 10^5-row scale."""
     from ray.data.context import ShuffleStrategy
 
     try:
         ds.context.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
     except AttributeError:
         pass
-    return ds
-
-
-def ensure_hash_shuffle(ds=None, num_partitions: int | None = None):
-    """Switch the Ray Data context to the hash-shuffle strategy.
-
-    Key-based ``repartition(keys=..., sort=True)`` — the engine's one-shuffle
-    co-location primitive — is only implemented for HASH_SHUFFLE. Hash
-    shuffling is also the right default for this workload's groupbys at
-    cluster scale (partition-by-key instead of global sort). Idempotent.
-
-    Datasets snapshot their DataContext at creation, so when a dataset built
-    under the default strategy is passed in, its own context is patched too.
-    """
-    from ray.data import DataContext
-    from ray.data.context import ShuffleStrategy
-
-    import ray
-
-    ctx = DataContext.get_current()
-    if ctx.shuffle_strategy != ShuffleStrategy.HASH_SHUFFLE:
-        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    # keep the aggregator-actor pool proportional to the session, or a small
-    # local node stalls waiting to schedule 64 actors
-    try:
-        n = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:
-        n = 8
-    ctx.max_hash_shuffle_aggregators = max(2, min(ctx.max_hash_shuffle_aggregators or 64, n // 2 or 1))
-    ctx.default_hash_shuffle_parallelism = min(ctx.default_hash_shuffle_parallelism or 200, 4 * n)
-    # aggregators only concat+emit: a thin CPU reservation keeps them
-    # schedulable without starving the map/write stages that run alongside.
-    # The override is PER PARTITION, so the pool's total logical reservation
-    # is override × P — independent of session size. A flat 0.025 (~10% of a
-    # 32-CPU session at P≈4n) silently becomes 40% of a 4-CPU session at
-    # P=64; with the other operators' reservations that left less than the
-    # 1.0 CPU a derive task needs and the session wedged at ~zero throughput
-    # (measured 2026-08-19: 4 CPUs/P=64 never finished 25k convs while
-    # 4 CPUs/P=16 ran 112k turns/s). Cap the TOTAL at ~15% of the session.
-    # budget against the LARGEST partition count this context will shuffle:
-    # callers that repartition to an explicit P (the pipeline's num_parts)
-    # pass it as num_partitions; otherwise the context default applies
-    denom = max(int(ctx.default_hash_shuffle_parallelism or 1), int(num_partitions or 0), 1)
-    # floor at 0.0001: round() can hit 0.0 for tiny sessions with very large
-    # explicit partition counts. Ray 2.49 applies a 0.0 override as given
-    # (``_get_aggregator_num_cpus_per_partition`` tests ``is not None``), so
-    # without the floor the aggregators would reserve no CPU at all
-    per_part = max(0.0001, min(0.025, round(max(0.15 * n, 0.5) / denom, 4)))
-    ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = per_part
-    if ds is not None:
-        try:
-            dctx = ds.context
-            dctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-            dctx.max_hash_shuffle_aggregators = ctx.max_hash_shuffle_aggregators
-            dctx.default_hash_shuffle_parallelism = ctx.default_hash_shuffle_parallelism
-            dctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = per_part
-        except AttributeError:
-            pass
     return ds
 
 

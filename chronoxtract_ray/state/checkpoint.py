@@ -224,8 +224,8 @@ class PartitionWriter:
     their Gorilla-compressed point chunks; called by the pipeline's writer
     stages on one block at a time.
 
-    Fed by ``repartition(keys=["part"])`` so each block holds whole
-    partitions (possibly several when hash buckets collide); writes one
+    Each block holds whole partitions (the exchange hands a writer every
+    row of a partition; tier blocks hold one tier at a time); writes one
     directory + manifest per partition (idempotent: a retried task rewrites
     the same files). A partition only counts as complete once tier rows and
     chunks are both on disk (single manifest covers both). Holds only its

@@ -54,6 +54,14 @@ def test_resume_skips_completed_partitions(runs):
     assert skipped == expected
 
 
+def test_resume_part_rows_count_only_unfinished_partitions(runs):
+    tbl, killed, _, metrics = runs
+    part = ckpt.conv_partition(tbl["conv_id"].to_numpy(zero_copy_only=False), 4)
+    assert len(metrics["part_rows"]) == 4
+    assert sum(metrics["part_rows"]) == int(np.isin(part, killed).sum())
+    assert [p for p, n in enumerate(metrics["part_rows"]) if n] == killed
+
+
 def test_resume_does_not_rewrite_survivors(runs):
     _, _, mtimes, _ = runs
     for f, old in mtimes.items():
