@@ -140,12 +140,10 @@ def tier_table(root: str, tier: str, columns: list[str] | None = None) -> pa.Tab
     not deserialize the rest."""
     import glob
 
-    import pyarrow.parquet as pq
-
     files = sorted(glob.glob(os.path.join(root, f"tier={tier}", "part=*", "*.parquet")))
     if not files:  # e.g. every partition dropped by retention
         return pa.table({})
-    tbl = pa.concat_tables([pq.read_table(f, columns=columns) for f in files])
+    tbl = pa.concat_tables([ckpt.read_segment(f, columns) for f in files])
     keys = [k for k in ("conv_id", "window_start", "chunk_start") if k in tbl.column_names]
     return tbl.sort_by([(k, "ascending") for k in keys])
 

@@ -6,6 +6,10 @@ pipeline's ``PartitionWriter`` (state/checkpoint.py), one per (conversation,
 chunk span). Chunk boundaries are deterministic — ``chunk_start =
 window_start // chunk_span * chunk_span`` — so re-runs and resumed runs
 produce identical chunk rows regardless of parallelism.
+
+Decoding is one call of each batched decoder per table
+(``gorilla.decode_timestamps_batch`` / ``decode_values_batch``), which
+decode every chunk of the table in lockstep; no per-row Python.
 """
 
 from __future__ import annotations
@@ -19,21 +23,26 @@ __all__ = ["decode_chunks"]
 
 
 def decode_chunks(chunks: pa.Table) -> pa.Table:
-    """Chunk rows → point rows (conv_id, window_start, value); query path /
-    roundtrip tests."""
-    convs: list[str] = []
-    wins: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for i in range(chunks.num_rows):
-        w = gorilla.decode_timestamps(chunks["gorilla_timestamps"][i].as_py())
-        v = gorilla.decode_values(chunks["gorilla_values"][i].as_py())
-        convs.extend([chunks["conv_id"][i].as_py()] * w.size)
-        wins.append(w)
-        vals.append(v)
+    """Chunk rows → point rows (conv_id, window_start, value), in chunk-row
+    order. Raises ``ValueError`` on a corrupt blob, or when a chunk's decoded
+    point count disagrees with its ``n_points``."""
+    if chunks.num_rows == 0:
+        return pa.table(
+            {
+                "conv_id": pa.array([], pa.string()),
+                "window_start": pa.array([], pa.int64()),
+                "value": pa.array([], pa.float64()),
+            }
+        )
+    wins, n_w = gorilla.decode_timestamps_batch(chunks["gorilla_timestamps"])
+    vals, n_v = gorilla.decode_values_batch(chunks["gorilla_values"])
+    if not (np.array_equal(n_w, n_v) and np.array_equal(n_w, chunks["n_points"].to_numpy())):
+        raise ValueError("Gorilla chunk point counts disagree with n_points")
+    conv = chunks["conv_id"].take(np.repeat(np.arange(chunks.num_rows), n_w))
     return pa.table(
         {
-            "conv_id": pa.array(convs, pa.string()),
-            "window_start": pa.array(np.concatenate(wins) if wins else np.empty(0, np.int64), pa.int64()),
-            "value": pa.array(np.concatenate(vals) if vals else np.empty(0, np.float64), pa.float64()),
+            "conv_id": conv.cast(pa.string()),
+            "window_start": pa.array(wins, pa.int64()),
+            "value": pa.array(vals, pa.float64()),
         }
     )

@@ -287,7 +287,7 @@ class IncrementalWriteStage:
         files = _seg_files(_artifact_paths(self.root, part)[name])
         if not files:
             return None
-        return pa.concat_tables([pq.read_table(f) for f in files], promote_options="default")
+        return pa.concat_tables([ckpt.read_segment(f) for f in files], promote_options="default")
 
     def _load_sidecar(self, part: int, old_1m_files: list[str], open_start: int):
         """Per-conv (a_ws, p0_ws) anchors: from the ``_convs`` sidecar when
@@ -303,7 +303,7 @@ class IncrementalWriteStage:
                  "a_ws": pa.array([], pa.int64()),
                  "p0_ws": pa.array([], pa.int64())}
             )
-        t = pa.concat_tables([pq.read_table(f, columns=["conv_id", "window_start"]) for f in old_1m_files])
+        t = pa.concat_tables([ckpt.read_segment(f, ["conv_id", "window_start"]) for f in old_1m_files])
         df = pd.DataFrame(
             {"c": t["conv_id"].to_numpy(zero_copy_only=False), "w": t["window_start"].to_numpy()}
         )
@@ -370,7 +370,7 @@ class IncrementalWriteStage:
                 continue
             t = file_cache.get(f)
             if t is None:
-                t = pq.read_table(f)
+                t = ckpt.read_segment(f)
                 file_cache[f] = t
             conv = t["conv_id"].to_numpy(zero_copy_only=False)
             ws = t[ws_col].to_numpy()
@@ -403,7 +403,7 @@ class IncrementalWriteStage:
                    + (1 if carry is not None and carry.num_rows else 0)
                    + (1 if new_rows is not None and new_rows.num_rows else 0))
         if n_files > MAX_SEGMENTS:
-            parts = [file_cache.get(f) or pq.read_table(f) for f in link_files]
+            parts = [file_cache.get(f) or ckpt.read_segment(f) for f in link_files]
             if carry is not None and carry.num_rows:
                 parts.append(carry)
             if new_rows is not None and new_rows.num_rows:

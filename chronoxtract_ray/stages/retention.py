@@ -43,12 +43,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from chronoxtract_ray.state import gorilla
 from chronoxtract_ray.state.checkpoint import (
     load_manifests,
     manifest_path,
+    read_segment,
     read_store_meta,
     replace_partition_dir,
 )
@@ -93,7 +93,7 @@ def _read_dir(d: str) -> pa.Table | None:
     files = sorted(glob.glob(os.path.join(d, "*.parquet")))
     if not files:
         return None
-    return pa.concat_tables([pq.read_table(f) for f in files], promote_options="default")
+    return pa.concat_tables([read_segment(f) for f in files], promote_options="default")
 
 
 def _trim_chunks(chunk_dir: str, cutoff: int) -> int:
@@ -111,9 +111,11 @@ def _trim_chunks(chunk_dir: str, cutoff: int) -> int:
     if not straddle.any() and keep.all():
         return 0
     cols = {name: np.array(t[name].to_numpy(zero_copy_only=False)) for name in t.column_names}
-    for i in np.flatnonzero(straddle):
-        ts = gorilla.decode_timestamps(cols["gorilla_timestamps"][i])
-        vals = gorilla.decode_values(cols["gorilla_values"][i])
+    rows = np.flatnonzero(straddle)
+    ts_all, counts = gorilla.decode_timestamps_batch(t["gorilla_timestamps"].take(rows))
+    vals_all, _ = gorilla.decode_values_batch(t["gorilla_values"].take(rows))
+    split = np.cumsum(counts)[:-1]
+    for i, ts, vals in zip(rows, np.split(ts_all, split), np.split(vals_all, split)):
         m = ts >= cutoff
         cols["gorilla_timestamps"][i] = gorilla.encode_timestamps(ts[m])
         cols["gorilla_values"][i] = gorilla.encode_values(vals[m])

@@ -30,6 +30,7 @@ __all__ = [
     "load_manifests",
     "completed_parts",
     "replace_partition_dir",
+    "read_segment",
     "write_partition",
     "PartitionWriter",
 ]
@@ -172,6 +173,16 @@ def replace_partition_dir(final_dir: str, table, single_row_group: bool = True) 
         os.rename(final_dir, trash_dir)
     os.rename(tmp_dir, final_dir)
     shutil.rmtree(trash_dir, ignore_errors=True)
+
+
+def read_segment(path: str, columns: list[str] | None = None):
+    """One parquet segment file of a store as an Arrow table. Reads the file
+    directly: ``pq.read_table`` would build a dataset and run partition
+    discovery for every file, which costs more than reading a small segment."""
+    import pyarrow.parquet as pq
+
+    with pq.ParquetFile(path) as f:
+        return f.read(columns=columns)
 
 
 def manifest_path(root: str, tier: str, part: int) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from chronoxtract_ray.state import gorilla as g
@@ -72,3 +73,189 @@ def test_batch_encoders_byte_identical():
     v, t, st = np.concatenate(vals), np.concatenate(tss), np.asarray(starts)
     assert g.encode_values_batch(v, st) == [g.encode_values(c) for c in vals]
     assert g.encode_timestamps_batch(t, st) == [g.encode_timestamps(c) for c in tss]
+
+
+# ---- batched decoders --------------------------------------------------------
+
+_WIDE = np.array([0x3FF0000000000000, 0xBFF0000000000001], dtype=np.uint64).view(np.float64)  # xor 0x8000...01: a 64-bit window
+
+
+def _random_chunks(seed: int = 23):
+    """Chunk inputs covering the token classes: empty/1/2/3-point chunks,
+    chunks up to 1,100 points, 64-bit value windows, raw 64-bit dod tokens,
+    NaN, ±inf and -0.0, and payloads straddling word boundaries."""
+    rng = np.random.default_rng(seed)
+    sizes = [0, 1, 2, 3, 0, 1100, 2, 1] + list(rng.integers(0, 60, 80)) + list(rng.integers(60, 1100, 6))
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324])
+    vals, tss = [], []
+    for i, s in enumerate(sizes):
+        v = rng.normal(50, 20, s).round(int(rng.integers(0, 4)))
+        if s >= 2 and i % 3 == 0:
+            v[rng.integers(0, s, max(1, s // 6))] = rng.choice(specials, max(1, s // 6))
+        if s >= 2 and i % 4 == 1:
+            v[: 2 * (s // 2)] = np.resize(_WIDE, 2 * (s // 2))
+        steps = rng.integers(1, 120_000_000, s)
+        if s >= 3 and i % 5 == 2:  # jumps far beyond the 12-bit dod range: raw 64-bit tokens
+            steps[rng.integers(0, s, max(1, s // 4))] = rng.integers(1 << 40, 1 << 60, max(1, s // 4))
+        if i % 7 == 3:  # regular grid: dod == 0 tokens
+            steps[:] = 60_000_000
+        tss.append(int(rng.integers(-(10**15), 10**15)) + np.cumsum(steps).astype(np.int64))
+        vals.append(v)
+    return vals, tss
+
+
+def _columns(blobs: list[bytes]):
+    """The same blobs as binary, large_binary and a multi-chunk ChunkedArray."""
+    third = max(1, len(blobs) // 3)
+    return {
+        "binary": pa.array(blobs, pa.binary()),
+        "large_binary": pa.array(blobs, pa.large_binary()),
+        "chunked": pa.chunked_array(
+            [pa.array(blobs[:third], pa.binary()), pa.array([], pa.binary()), pa.array(blobs[third:], pa.binary())]
+        ),
+    }
+
+
+def _assert_batch_roundtrip(dec, counts, inputs, view):
+    assert counts.tolist() == [x.size for x in inputs]
+    expect = np.concatenate(inputs) if inputs else np.empty(0, dec.dtype)
+    assert dec.dtype == expect.dtype and dec.size == expect.size
+    assert (dec.view(view) == expect.view(view)).all()
+
+
+@pytest.mark.parametrize("kind", ["binary", "large_binary", "chunked"])
+def test_batch_decoders_roundtrip_every_chunk(kind):
+    vals, tss = _random_chunks()
+    assert any(v.size and v.view(np.uint64)[0] == _WIDE.view(np.uint64)[0] for v in vals)
+    v_col = _columns([g.encode_values(v) for v in vals])[kind]
+    t_col = _columns([g.encode_timestamps(t) for t in tss])[kind]
+    _assert_batch_roundtrip(*g.decode_values_batch(v_col), vals, np.uint64)
+    _assert_batch_roundtrip(*g.decode_timestamps_batch(t_col), tss, np.int64)
+
+
+def test_batch_decoders_on_sliced_and_empty_columns():
+    vals, tss = _random_chunks(29)
+    v_col = pa.array([g.encode_values(v) for v in vals], pa.binary())
+    t_col = pa.array([g.encode_timestamps(t) for t in tss], pa.large_binary())
+    for lo, k in ((5, 20), (0, 1), (len(vals) - 3, 3), (7, 0)):
+        _assert_batch_roundtrip(*g.decode_values_batch(v_col.slice(lo, k)), vals[lo : lo + k], np.uint64)
+        _assert_batch_roundtrip(*g.decode_timestamps_batch(t_col.slice(lo, k)), tss[lo : lo + k], np.int64)
+    for col in (pa.array([], pa.binary()), pa.chunked_array([], pa.large_binary())):
+        dec, counts = g.decode_values_batch(col)
+        assert dec.dtype == np.float64 and dec.size == 0 and counts.size == 0
+        dec, counts = g.decode_timestamps_batch(col)
+        assert dec.dtype == np.int64 and dec.size == 0 and counts.size == 0
+
+
+def _chunk_table(vals, tss) -> pa.Table:
+    return pa.table(
+        {
+            "conv_id": pa.array([f"c{i:03d}" for i in range(len(vals))], pa.string()),
+            "n_points": pa.array([v.size for v in vals], pa.int64()),
+            "gorilla_timestamps": pa.array([g.encode_timestamps(t) for t in tss], pa.binary()),
+            "gorilla_values": pa.array([g.encode_values(v) for v in vals], pa.binary()),
+        }
+    )
+
+
+def test_decode_chunks_sliced_multichunk_and_empty_tables():
+    from chronoxtract_ray.stages.gorilla_stage import decode_chunks
+
+    vals, tss = _random_chunks(31)
+    tbl = _chunk_table(vals, tss)
+    tbl = pa.concat_tables([tbl.slice(0, 40), tbl.slice(40)])  # two record batches
+    for lo, k in ((0, tbl.num_rows), (3, 45), (38, 4)):
+        pts = decode_chunks(tbl.slice(lo, k))
+        convs = np.repeat([f"c{i:03d}" for i in range(lo, lo + k)], [v.size for v in vals[lo : lo + k]])
+        assert pts["conv_id"].to_pylist() == convs.tolist()
+        _assert_batch_roundtrip(pts["value"].to_numpy(), np.array([v.size for v in vals[lo : lo + k]]), vals[lo : lo + k], np.uint64)
+        assert (pts["window_start"].to_numpy() == np.concatenate(tss[lo : lo + k])).all()
+    schema = pa.schema([("conv_id", pa.string()), ("window_start", pa.int64()), ("value", pa.float64())])
+    for empty in (tbl.slice(0, 0), pa.table({})):
+        out = decode_chunks(empty)
+        assert out.num_rows == 0 and out.schema.equals(schema)
+
+
+def test_decode_chunks_rejects_count_mismatch():
+    from chronoxtract_ray.stages.gorilla_stage import decode_chunks
+
+    vals, tss = _random_chunks(37)
+    tbl = _chunk_table(vals[:10], tss[:10])
+    n = tbl["n_points"].to_numpy().copy()
+    n[4] += 1
+    with pytest.raises(ValueError, match="n_points"):
+        decode_chunks(tbl.set_column(1, "n_points", pa.array(n, pa.int64())))
+
+
+# ---- corrupt blobs -----------------------------------------------------------
+
+_CODECS = [
+    ("values", g.encode_values, g.decode_values, g.decode_values_batch, 24),
+    ("timestamps", g.encode_timestamps, g.decode_timestamps, g.decode_timestamps_batch, 32),
+]
+
+
+def _sample(name: str, n: int = 40) -> np.ndarray:
+    rng = np.random.default_rng(41)
+    if name == "values":
+        return rng.normal(50, 20, n).round(1)
+    return np.cumsum(rng.integers(1, 10**8, n)).astype(np.int64)
+
+
+@pytest.mark.parametrize("name,enc,dec,dec_batch,hdr", _CODECS, ids=[c[0] for c in _CODECS])
+def test_corrupt_magic_and_truncation_raise(name, enc, dec, dec_batch, hdr):
+    blob = enc(_sample(name))
+    with pytest.raises(ValueError, match="magic"):
+        dec(b"XXXX" + blob[4:])
+    other_enc = g.encode_timestamps if name == "values" else g.encode_values
+    with pytest.raises(ValueError, match="magic"):  # the other codec's blob
+        dec(other_enc(_sample(name)))
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            dec(blob[:cut])
+    with pytest.raises(ValueError):  # one good blob does not hide a bad one
+        dec_batch(pa.array([blob, blob[:-8], blob], pa.binary()))
+    with pytest.raises(ValueError):
+        dec(blob + b"\0" * 8)
+
+
+@pytest.mark.parametrize("name,enc,dec,dec_batch,hdr", _CODECS, ids=[c[0] for c in _CODECS])
+def test_forged_count_raises_without_allocating(name, enc, dec, dec_batch, hdr):
+    import struct
+    import tracemalloc
+
+    blob = enc(_sample(name))
+    forged = blob[:4] + struct.pack("<I", 2**32 - 1) + blob[8:]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="point count"):
+            dec_batch(pa.array([blob, forged], pa.binary()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError):  # an empty blob claiming points
+        dec(blob[:4] + struct.pack("<I", 5))
+
+
+@pytest.mark.parametrize("name,enc,dec,dec_batch,hdr", _CODECS, ids=[c[0] for c in _CODECS])
+def test_flipped_payload_bit_raises_or_decodes_wrong(name, enc, dec, dec_batch, hdr):
+    x = _sample(name, 16)
+    blob = bytearray(enc(x))
+    other = enc(_sample(name, 7))
+    outcomes = {"error": 0, "wrong": 0}
+    for bit in range((len(blob) - hdr) * 8):
+        bad = bytearray(blob)
+        bad[hdr + bit // 8] ^= 0x80 >> (bit % 8)
+        try:
+            out, counts = dec_batch(pa.array([other, bytes(bad), other], pa.binary()))
+        except ValueError:
+            outcomes["error"] += 1
+            continue
+        assert counts.tolist() == [7, x.size, 7]
+        got = out[7 : 7 + x.size]
+        if not np.array_equal(got.view(np.uint64), x.view(np.uint64)):
+            outcomes["wrong"] += 1
+        # neighbours decode from their own words, whatever the bad lane read
+        assert (out[:7].view(np.uint64) == _sample(name, 7).view(np.uint64)).all()
+    assert outcomes["error"] > 0
