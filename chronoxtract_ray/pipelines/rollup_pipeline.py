@@ -45,7 +45,7 @@ from chronoxtract_ray.stages.derive import make_derive
 from chronoxtract_ray.stages.rollup import DAY_US, HOUR_US, MINUTE_US, RollupConfig, make_block_rollup
 from chronoxtract_ray.state import checkpoint as ckpt
 
-__all__ = ["PipelineConfig", "run_rollup_pipeline", "backfill_partitions", "tier_dataset", "tier_table"]
+__all__ = ["PipelineConfig", "run_rollup_pipeline", "backfill_partitions", "tier_table"]
 
 TIERS = (("1m", MINUTE_US), ("1h", HOUR_US), ("1d", DAY_US))
 
@@ -112,25 +112,6 @@ class RollupWriteStage:
             parts_out.extend(res["part"].to_pylist())
             rows_out.extend(res["rows"].to_pylist())
         return pa.table({"tier": pa.array(tiers_out, pa.string()), "part": pa.array(parts_out, pa.int64()), "rows": pa.array(rows_out, pa.int64())})
-
-
-def tier_dataset(root: str, tier: str, columns: list[str] | None = None):
-    """Read one tier back; hive-partition columns (tier/part) are dropped so
-    downstream stages see pure tier rows. Pass ``columns`` to prune the scan
-    at storage — a consumer of 2 of the ~48 tier columns should not ship the
-    rest out of the row groups."""
-    # locked construction: tier reads run concurrently with other component
-    # queries (queries_merged._par) and Ray's path resolution is not
-    # thread-safe in this env (fsspec http probe race)
-    from chronoxtract_ray.stages.util import read_parquet_locked
-
-    ds = read_parquet_locked(os.path.join(root, f"tier={tier}"), columns=columns)
-
-    def strip(t: pa.Table) -> pa.Table:
-        drop = [c for c in ("tier", "part") if c in t.column_names]
-        return t.drop_columns(drop) if drop else t
-
-    return ds.map_batches(strip, batch_format="pyarrow")
 
 
 def tier_table(root: str, tier: str, columns: list[str] | None = None) -> pa.Table:

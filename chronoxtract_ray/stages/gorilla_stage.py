@@ -7,9 +7,13 @@ chunk span). Chunk boundaries are deterministic — ``chunk_start =
 window_start // chunk_span * chunk_span`` — so re-runs and resumed runs
 produce identical chunk rows regardless of parallelism.
 
-Decoding is one call of each batched decoder per table
-(``gorilla.decode_timestamps_batch`` / ``decode_values_batch``), which
-decode every chunk of the table in lockstep; no per-row Python.
+The blobs are GXV2 (byte layout in ``state/gorilla.py``): each carries its
+own lean header, and the values blob picks its mode per chunk (RATIO for
+exact ``a / k`` ratios such as window means, XOR otherwise). Decoding is one
+call of each batched decoder per table (``gorilla.decode_timestamps_batch``
+/ ``decode_values_batch``): RATIO chunks decode in one vectorized unpack,
+XOR values and timestamps in lockstep over every chunk of the table; no
+per-row Python. A blob in another format raises ``ValueError``.
 """
 
 from __future__ import annotations

@@ -15,9 +15,8 @@ one: the batch pipeline writes a single ``data.parquet``; every incremental
 batch then adds one "new" segment (recomputed windows) and at most one
 "carry" segment (surviving rows rescued from segments that overlapped the
 recompute region), while all older segments are kept via hard links inside
-the same staged-swap commit. Readers (``tier_table``, ``tier_dataset``,
-retention, DuckDB) already glob ``part=*/*.parquet``, so the layout is
-invisible to them. When a partition accumulates more than
+the same staged-swap commit. Readers (``tier_table``, retention, DuckDB)
+already glob ``part=*/*.parquet``, so the layout is invisible to them. When a partition accumulates more than
 ``MAX_SEGMENTS`` files, the commit compacts them into one (amortized
 O(partition)/MAX_SEGMENTS per batch).
 

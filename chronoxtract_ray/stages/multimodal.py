@@ -148,6 +148,9 @@ def encode_png(img: np.ndarray) -> bytes:
     )
 
 
+_PNG_MAX_PIXELS = 1 << 26  # largest IHDR geometry decode_png accepts (64 Mpx)
+
+
 def _png_unfilter(raw: bytes, h: int, stride: int, bpp: int) -> np.ndarray:
     """Reverse the PNG per-row filters (types 0-4 per the spec) →
     (h, stride) uint8 of reconstructed scanline bytes. Filters None/Up/Sub
@@ -233,15 +236,22 @@ def decode_png(payload: bytes) -> np.ndarray:
     channels = {0: 1, 2: 3, 4: 2, 6: 4}.get(color_type)
     if channels is None:
         raise ValueError(f"PNG: unsupported color type {color_type} (palette?)")
-    if w <= 0 or h <= 0:
-        raise ValueError("PNG: bad geometry")
+    if w <= 0 or h <= 0 or w * h > _PNG_MAX_PIXELS:
+        raise ValueError(f"PNG: bad geometry {w}x{h} (at most {_PNG_MAX_PIXELS} pixels)")
+    # inflate no further than the geometry allows: a deflate bomb stops at
+    # h * (stride + 1) bytes instead of exhausting the worker's memory
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(b"".join(idat))
+        raw = inflater.decompress(b"".join(idat), h * (w * channels + 1))
     except zlib.error as e:
         # normalize to the codec contract (ValueError on malformed input):
         # a CRC-valid but zlib-invalid IDAT must flag decode_ok=false
         # upstream, not poison-pill the Ray task (r5 review)
         raise ValueError(f"PNG: bad deflate stream: {e}") from None
+    if inflater.unconsumed_tail:
+        raise ValueError("PNG: IDAT inflates past the IHDR geometry")
+    if not inflater.eof:
+        raise ValueError("PNG: truncated deflate stream")
     out = _png_unfilter(raw, h, w * channels, channels)
     return out.reshape(h, w, channels)
 

@@ -17,6 +17,7 @@ temp dir then ``os.rename``.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import time
@@ -43,11 +44,12 @@ def conv_partition(conv_ids: np.ndarray, num_parts: int) -> np.ndarray:
 
 
 STORE_META = "_store.json"
+CHUNK_CODEC = "GXV2"  # the Gorilla chunk blob format (state/gorilla.py) this engine reads and writes
 
 
 def read_store_meta(root: str) -> dict | None:
-    """Store-level invariants (partition count, gorilla on/off), or None for
-    a fresh / pre-metadata store."""
+    """Store-level invariants (partition count, gorilla on/off, chunk codec,
+    ...), or None for a fresh / pre-metadata store."""
     path = os.path.join(root, STORE_META)
     if not os.path.exists(path):
         return None
@@ -76,8 +78,22 @@ def ensure_store_meta(
     on two different grids. So the first write records all four, and every
     later write must match or raise. Pre-metadata stores (and stores from
     before a field existed) adopt the next writer's values — they cannot be
-    validated retroactively, so the missing keys are backfilled."""
+    validated retroactively, so the missing keys are backfilled.
+
+    The first write also records ``chunk_codec``. It is never backfilled
+    into a store that already holds chunk files: those were written in an
+    older blob format that this engine cannot decode, and a partial rewrite
+    would mix two formats in one store. Such a store raises before anything
+    is written."""
     meta = read_store_meta(root)
+    codec = (meta or {}).get("chunk_codec")
+    if codec != CHUNK_CODEC and (codec is not None or _has_chunk_files(root)):
+        found = f"chunk_codec={codec}" if codec else f"an older format (no chunk_codec in {STORE_META})"
+        raise ValueError(
+            f"store at {root} holds Gorilla chunks in {found}; this engine reads "
+            f"and writes chunk_codec={CHUNK_CODEC} only. Rebuild the store: rerun "
+            f"the rollup and any ingest batches into a new output directory."
+        )
     if meta is not None:
         if int(meta["num_parts"]) != int(num_parts):
             raise ValueError(
@@ -116,16 +132,22 @@ def ensure_store_meta(
             backfill["with_checksum"] = bool(with_checksum)
         if width_us is not None and "width_us" not in meta:
             backfill["width_us"] = int(width_us)
+        if "chunk_codec" not in meta:
+            backfill["chunk_codec"] = CHUNK_CODEC
         if backfill:
             _write_store_meta(root, dict(meta, **backfill))
         return
     os.makedirs(root, exist_ok=True)
-    meta = {"num_parts": int(num_parts), "with_gorilla": bool(with_gorilla)}
+    meta = {"num_parts": int(num_parts), "with_gorilla": bool(with_gorilla), "chunk_codec": CHUNK_CODEC}
     if with_checksum is not None:
         meta["with_checksum"] = bool(with_checksum)
     if width_us is not None:
         meta["width_us"] = int(width_us)
     _write_store_meta(root, meta)
+
+
+def _has_chunk_files(root: str) -> bool:
+    return bool(glob.glob(os.path.join(root, "chunks", "tier=*", "part=*", "*.parquet")))
 
 
 def _write_store_meta(root: str, meta: dict) -> None:

@@ -284,6 +284,40 @@ def test_png_bad_deflate_flags_not_raises():
     assert not ok and np.isnan(feats).all()
 
 
+def test_png_deflate_bomb_and_forged_geometry_raise_bounded():
+    """A CRC-valid IDAT that inflates far past its IHDR geometry raises
+    ValueError without inflating it: the traced peak stays within the
+    geometry's size plus copies of the payload, not the bomb's 64 MB. An
+    IHDR over the pixel cap raises before any inflate."""
+    import struct
+    import tracemalloc
+    import zlib
+
+    from chronoxtract_ray.stages import multimodal as mm
+
+    def png(w, h, idat):
+        ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+        return mm._PNG_SIG + mm._png_chunk(b"IHDR", ihdr) + mm._png_chunk(b"IDAT", idat) + mm._png_chunk(b"IEND", b"")
+
+    w = h = 128
+    geometry = h * (3 * w + 1)
+    bomb = png(w, h, zlib.compress(bytes(64 << 20), 9))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="geometry"):
+            mm.decode_png(bomb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < geometry + 3 * len(bomb) + (64 << 10)
+    with pytest.raises(ValueError, match="geometry"):
+        mm.decode_png(png(2**31 - 1, 2**31 - 1, zlib.compress(b"\0" * 16)))
+    good = zlib.compress(bytes(geometry))
+    assert mm.decode_png(png(w, h, good)).shape == (h, w, 3)
+    with pytest.raises(ValueError, match="truncated"):
+        mm.decode_png(png(w, h, good[: len(good) // 2]))
+
+
 def test_resize_images_accepts_png_and_bmp(ray_session):
     import ray.data as rd
 

@@ -214,6 +214,7 @@ def test_store_meta_guards_partition_count(ray_session, tmp_path):
     assert meta == {
         "num_parts": 4,
         "with_gorilla": True,
+        "chunk_codec": "GXV2",
         "with_checksum": True,
         "width_us": 60_000_000,
     }

@@ -3,10 +3,10 @@
 Covers the r4 engine-core review findings:
 
 * ``ensure_store_meta`` records num_parts / with_gorilla / with_checksum /
-  width_us on first write and raises on any later conflicting write —
-  each conflict is a silent-corruption class (split conversations,
+  width_us / chunk_codec on first write and raises on any later conflicting
+  write — each conflict is a silent-corruption class (split conversations,
   inconsistent chunk artifacts, unconcatenatable tier schemas, windows
-  floored on two grids).
+  floored on two grids, chunk blobs in two formats).
 * Partition-dir rewrites stage through a DOT-PREFIXED temp dir: a crash
   between write and rename must never leave a directory that the
   ``part=*/*.parquet`` reader globs (tier_table, retention, the DuckDB
@@ -60,6 +60,45 @@ def test_store_meta_backfills_missing_fields(tmp_path):
     assert meta["with_checksum"] is False and meta["width_us"] == 30_000_000
     with pytest.raises(ValueError, match="with_checksum"):
         ckpt.ensure_store_meta(str(root), 4, True, with_checksum=True)
+
+
+def _tree(root) -> dict:
+    return {p: open(p, "rb").read() for p in glob.glob(os.path.join(str(root), "**", "*"), recursive=True) if os.path.isfile(p)}
+
+
+def test_store_without_chunk_codec_refused_unchanged(tmp_path):
+    """A store whose ``_store.json`` predates ``chunk_codec`` and that holds
+    chunk files was written in an older blob format: rollup and ingest
+    raise, naming the codec and the fix, and write nothing. Without chunk
+    files the key is backfilled; a different recorded codec raises too."""
+    from chronoxtract_ray.pipelines.rollup_pipeline import PipelineConfig, run_rollup_pipeline
+    from chronoxtract_ray.stages.ingest import run_incremental_ingest
+
+    root = tmp_path / "old"
+    os.makedirs(root / "chunks" / "tier=1m" / "part=0000")
+    pq.write_table(pa.table({"n_points": pa.array([1], pa.int64())}), str(root / "chunks" / "tier=1m" / "part=0000" / "data.parquet"))
+    (root / "_store.json").write_text(json.dumps({"num_parts": 4, "with_gorilla": True}))
+    before = _tree(root)
+    cfg = PipelineConfig(num_parts=4)
+    with pytest.raises(ValueError, match="chunk_codec=GXV2.*Rebuild the store"):
+        run_rollup_pipeline(str(tmp_path / "no-input"), str(root), cfg)
+    with pytest.raises(ValueError, match="chunk_codec=GXV2.*Rebuild the store"):
+        run_incremental_ingest(str(tmp_path / "no-input"), str(root), cfg, batch_id="b1")
+    assert _tree(root) == before
+    os.remove(root / "_store.json")  # a pre-metadata store with chunks: the same
+    with pytest.raises(ValueError, match="Rebuild the store"):
+        ckpt.ensure_store_meta(str(root), 4, True)
+
+    fresh = tmp_path / "fresh"
+    _mk_store(fresh)
+    meta = ckpt.read_store_meta(str(fresh))
+    del meta["chunk_codec"]
+    (fresh / "_store.json").write_text(json.dumps(meta))
+    ckpt.ensure_store_meta(str(fresh), 4, True)  # no chunk files: backfilled
+    assert ckpt.read_store_meta(str(fresh))["chunk_codec"] == ckpt.CHUNK_CODEC
+    (fresh / "_store.json").write_text(json.dumps(dict(meta, chunk_codec="GXV9")))
+    with pytest.raises(ValueError, match="chunk_codec=GXV9"):
+        ckpt.ensure_store_meta(str(fresh), 4, True)
 
 
 def _poison_table():
